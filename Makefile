@@ -82,7 +82,10 @@ reshard:
 shrink:
 	$(GO) test -race -run 'Shrink|Decommission|Rebalance|RingWeighted|RingFloor|JournalCorrupt|Purge' ./internal/platform/...
 
-verify: build fmt vet test race recovery chaos stream shard replication reshard shrink
+# The per-suite targets above are developer shortcuts: `race` already runs
+# every one of them (the torture test exhaustively, since -short is unset),
+# so verify runs each -race suite exactly once.
+verify: build fmt vet test race
 
 # Regenerates every paper table/figure plus the ablations and the parallel
 # grouping scaling benchmark (see EXPERIMENTS.md for a curated run).

@@ -75,11 +75,8 @@ func run() error {
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
 
-	client := platform.NewClientWithConfig(*url, platform.ClientConfig{
-		MaxRetries:       *retries,
-		BreakerThreshold: *breakerThreshold,
-		BreakerCooldown:  *breakerCooldown,
-	})
+	client := platform.NewClient(*url, platform.WithRetries(*retries),
+		platform.WithBreaker(*breakerThreshold, *breakerCooldown))
 	if *watch {
 		return runWatch(ctx, client)
 	}

@@ -37,7 +37,7 @@ func postRaw(t *testing.T, srv *httptest.Server, path, body string) (int, ErrorR
 func TestErrorBodiesCarryStableCodes(t *testing.T) {
 	store := NewLocalStore(testTasks(1))
 	store.SetMaxAccounts(1)
-	srv := httptest.NewServer(NewServer(store, nil))
+	srv := httptest.NewServer(NewServerWithOptions(store, ServerOptions{}))
 	t.Cleanup(srv.Close)
 
 	// Seed one account so the cap case below trips.
@@ -151,7 +151,7 @@ func TestErrorBodiesCarryStableCodes(t *testing.T) {
 func TestClientSurfacesTypedErrors(t *testing.T) {
 	store := NewLocalStore(testTasks(1))
 	store.SetMaxAccounts(1)
-	srv := httptest.NewServer(NewServer(store, nil))
+	srv := httptest.NewServer(NewServerWithOptions(store, ServerOptions{}))
 	t.Cleanup(srv.Close)
 	client := NewClient(srv.URL, WithHTTPClient(srv.Client()))
 	ctx := context.Background()
@@ -225,7 +225,7 @@ func TestClientRetriesTransientFailures(t *testing.T) {
 	}))
 	t.Cleanup(srv.Close)
 
-	client := NewClientWithConfig(srv.URL, ClientConfig{
+	client := newClient(clientConfig{endpoints: []string{srv.URL},
 		HTTPClient:     srv.Client(),
 		MaxRetries:     3,
 		RetryBaseDelay: time.Millisecond,
@@ -251,7 +251,7 @@ func TestClientGivesUpAfterRetryBudget(t *testing.T) {
 	}))
 	t.Cleanup(srv.Close)
 
-	client := NewClientWithConfig(srv.URL, ClientConfig{
+	client := newClient(clientConfig{endpoints: []string{srv.URL},
 		HTTPClient:     srv.Client(),
 		MaxRetries:     2,
 		RetryBaseDelay: time.Millisecond,
@@ -281,7 +281,7 @@ func TestClientDoesNotRetryClientErrors(t *testing.T) {
 	}))
 	t.Cleanup(srv.Close)
 
-	client := NewClientWithConfig(srv.URL, ClientConfig{
+	client := newClient(clientConfig{endpoints: []string{srv.URL},
 		HTTPClient:     srv.Client(),
 		MaxRetries:     5,
 		RetryBaseDelay: time.Millisecond,
@@ -303,7 +303,7 @@ func TestClientRetriesConnectionErrors(t *testing.T) {
 	url := srv.URL
 	srv.Close()
 
-	client := NewClientWithConfig(url, ClientConfig{
+	client := newClient(clientConfig{endpoints: []string{url},
 		MaxRetries:     1,
 		RetryBaseDelay: time.Millisecond,
 		RetryMaxDelay:  2 * time.Millisecond,
@@ -331,7 +331,7 @@ func TestMetricsEndpointsAfterTraffic(t *testing.T) {
 	// before/after deltas since other tests share that registry.
 	reg := obs.NewRegistry()
 	store := NewLocalStore(testTasks(2))
-	srv := httptest.NewServer(NewServerWithRegistry(store, nil, reg))
+	srv := httptest.NewServer(NewServerWithOptions(store, ServerOptions{Registry: reg}))
 	t.Cleanup(srv.Close)
 	client := NewClient(srv.URL, WithHTTPClient(srv.Client()))
 	ctx := context.Background()
@@ -412,7 +412,7 @@ func TestMetricsJSONIsWellFormed(t *testing.T) {
 	// valid JSON (no NaN quantiles).
 	reg := obs.NewRegistry()
 	store := NewLocalStore(testTasks(1))
-	srv := httptest.NewServer(NewServerWithRegistry(store, nil, reg))
+	srv := httptest.NewServer(NewServerWithOptions(store, ServerOptions{Registry: reg}))
 	t.Cleanup(srv.Close)
 
 	resp, err := srv.Client().Get(srv.URL + "/v1/metrics")
@@ -431,7 +431,7 @@ func TestMetricsJSONIsWellFormed(t *testing.T) {
 
 func ExampleClient_Metrics() {
 	store := NewLocalStore(testTasks(1))
-	srv := httptest.NewServer(NewServerWithRegistry(store, nil, obs.NewRegistry()))
+	srv := httptest.NewServer(NewServerWithOptions(store, ServerOptions{Registry: obs.NewRegistry()}))
 	defer srv.Close()
 	client := NewClient(srv.URL, WithHTTPClient(srv.Client()))
 

@@ -76,7 +76,7 @@ func TestChaosCampaignZeroAckedLoss(t *testing.T) {
 			defer wg.Done()
 			// One client per account, like real agents; generous retry
 			// budget because the fault rates are high by design.
-			client := NewClientWithConfig(srv.URL, ClientConfig{
+			client := newClient(clientConfig{endpoints: []string{srv.URL},
 				HTTPClient:     &http.Client{Transport: faulty},
 				MaxRetries:     6,
 				RetryBaseDelay: time.Millisecond,
@@ -113,7 +113,7 @@ func TestChaosCampaignZeroAckedLoss(t *testing.T) {
 
 	// Aggregation still answers through the faults (retries absorb torn
 	// bodies; the injector never sees the platform's own shed responses).
-	aggClient := NewClientWithConfig(srv.URL, ClientConfig{
+	aggClient := newClient(clientConfig{endpoints: []string{srv.URL},
 		HTTPClient:     &http.Client{Transport: faulty},
 		MaxRetries:     8,
 		RetryBaseDelay: time.Millisecond,
@@ -227,7 +227,7 @@ func TestChaosBatchedCampaignZeroAckedLoss(t *testing.T) {
 		wg.Add(1)
 		go func(a int) {
 			defer wg.Done()
-			client := NewClientWithConfig(srv.URL, ClientConfig{
+			client := newClient(clientConfig{endpoints: []string{srv.URL},
 				HTTPClient:     &http.Client{Transport: faulty},
 				MaxRetries:     6,
 				RetryBaseDelay: time.Millisecond,
@@ -321,7 +321,7 @@ func TestChaosOutageOpensBreakerThenHeals(t *testing.T) {
 	t.Cleanup(srv.Close)
 
 	faulty := chaos.NewTransport(srv.Client().Transport, chaos.Plan{})
-	client := NewClientWithConfig(srv.URL, ClientConfig{
+	client := newClient(clientConfig{endpoints: []string{srv.URL},
 		HTTPClient:       &http.Client{Transport: faulty},
 		MaxRetries:       0,
 		BreakerThreshold: 3,
@@ -376,7 +376,7 @@ func TestChaosMiddlewareAgainstRealServer(t *testing.T) {
 	}.Middleware(inner))
 	t.Cleanup(srv.Close)
 
-	client := NewClientWithConfig(srv.URL, ClientConfig{
+	client := newClient(clientConfig{endpoints: []string{srv.URL},
 		HTTPClient:     srv.Client(),
 		MaxRetries:     8,
 		RetryBaseDelay: time.Millisecond,

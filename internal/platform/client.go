@@ -59,8 +59,11 @@ func (e *APIError) Unwrap() error {
 	return sentinelForCode(e.Code)
 }
 
-// ClientConfig tunes a Client beyond the defaults.
-type ClientConfig struct {
+// clientConfig tunes a Client beyond the defaults; NewClient's options
+// set it.
+type clientConfig struct {
+	// endpoints are the equivalent endpoints, in rotation order.
+	endpoints []string
 	// HTTPClient performs the requests; nil means a default client with a
 	// 10 s timeout.
 	HTTPClient *http.Client
@@ -88,7 +91,7 @@ type ClientConfig struct {
 	BreakerCooldown time.Duration
 }
 
-func (c ClientConfig) withDefaults() ClientConfig {
+func (c clientConfig) withDefaults() clientConfig {
 	if c.HTTPClient == nil {
 		c.HTTPClient = &http.Client{Timeout: 10 * time.Second}
 	}
@@ -106,7 +109,7 @@ func (c ClientConfig) withDefaults() ClientConfig {
 // (e.g. replicas of the shard router): transport-level failures rotate to
 // the next endpoint before the retry loop's next attempt.
 type Client struct {
-	cfg     ClientConfig
+	cfg     clientConfig
 	breaker *breaker // nil when BreakerThreshold == 0
 
 	// ringVersion, when non-zero, is stamped on every request as the
@@ -131,77 +134,65 @@ func (c *Client) SetRingVersion(v uint64) { c.ringVersion.Store(v) }
 func (c *Client) RingVersion() uint64 { return c.ringVersion.Load() }
 
 // Option configures NewClient.
-type Option func(*clientSettings)
-
-type clientSettings struct {
-	cfg       ClientConfig
-	endpoints []string
-}
+type Option func(*clientConfig)
 
 // WithHTTPClient sets the *http.Client performing requests; the default
 // has a 10 s timeout.
 func WithHTTPClient(hc *http.Client) Option {
-	return func(s *clientSettings) { s.cfg.HTTPClient = hc }
+	return func(c *clientConfig) { c.HTTPClient = hc }
 }
 
 // WithEndpoints adds fallback endpoints after NewClient's primary. The
 // client uses one endpoint at a time and rotates on transport-level
 // failures (connection errors, 5xx, torn bodies).
 func WithEndpoints(endpoints ...string) Option {
-	return func(s *clientSettings) { s.endpoints = append(s.endpoints, endpoints...) }
+	return func(c *clientConfig) { c.endpoints = append(c.endpoints, endpoints...) }
 }
 
-// WithRetries sets the number of additional attempts after a retryable
-// failure (see ClientConfig.MaxRetries).
+// WithRetries sets the number of additional attempts after the first one
+// fails with a connection error, a 5xx response, a torn response body, or
+// a rate-limit 429. Other 4xx responses are never retried. The default is
+// zero: no retries.
 func WithRetries(n int) Option {
-	return func(s *clientSettings) { s.cfg.MaxRetries = n }
+	return func(c *clientConfig) { c.MaxRetries = n }
 }
 
-// WithBackoff sets the retry backoff range (see ClientConfig
-// RetryBaseDelay/RetryMaxDelay; zero keeps the default for that bound).
+// WithBackoff sets the retry backoff range: base before the first retry,
+// doubling per attempt up to max (zero keeps the 100 ms / 2 s default for
+// that bound). A server-advertised Retry-After longer than max is still
+// honored in full.
 func WithBackoff(base, max time.Duration) Option {
-	return func(s *clientSettings) {
-		s.cfg.RetryBaseDelay = base
-		s.cfg.RetryMaxDelay = max
+	return func(c *clientConfig) {
+		c.RetryBaseDelay = base
+		c.RetryMaxDelay = max
 	}
 }
 
-// WithBreaker enables the client circuit breaker (see ClientConfig
-// BreakerThreshold/BreakerCooldown).
+// WithBreaker enables the client circuit breaker: after threshold
+// consecutive transport-level failures, calls fail fast with
+// ErrCircuitOpen until cooldown (zero means 1 s) has passed and a probe
+// succeeds.
 func WithBreaker(threshold int, cooldown time.Duration) Option {
-	return func(s *clientSettings) {
-		s.cfg.BreakerThreshold = threshold
-		s.cfg.BreakerCooldown = cooldown
+	return func(c *clientConfig) {
+		c.BreakerThreshold = threshold
+		c.BreakerCooldown = cooldown
 	}
-}
-
-// WithConfig replaces the whole ClientConfig at once; options applied
-// after it refine it field by field.
-func WithConfig(cfg ClientConfig) Option {
-	return func(s *clientSettings) { s.cfg = cfg }
 }
 
 // NewClient targets endpoint (e.g. "http://localhost:8080") — a single
 // node or the shard router; the wire API is identical. With no options
 // there are no retries and a default HTTP client with a 10 s timeout.
 func NewClient(endpoint string, opts ...Option) *Client {
-	set := clientSettings{endpoints: []string{endpoint}}
+	cfg := clientConfig{endpoints: []string{endpoint}}
 	for _, o := range opts {
-		o(&set)
+		o(&cfg)
 	}
-	return newClient(set.endpoints, set.cfg)
+	return newClient(cfg)
 }
 
-// NewClientWithConfig targets baseURL with explicit retry/transport
-// configuration. It is the pre-options constructor, kept as a thin shim
-// over NewClient(baseURL, WithConfig(cfg)).
-func NewClientWithConfig(baseURL string, cfg ClientConfig) *Client {
-	return newClient([]string{baseURL}, cfg)
-}
-
-func newClient(endpoints []string, cfg ClientConfig) *Client {
-	bases := make([]string, len(endpoints))
-	for i, e := range endpoints {
+func newClient(cfg clientConfig) *Client {
+	bases := make([]string, len(cfg.endpoints))
+	for i, e := range cfg.endpoints {
 		bases[i] = strings.TrimRight(e, "/")
 	}
 	c := &Client{

@@ -82,7 +82,7 @@ func TestClientRetryReusesConnections(t *testing.T) {
 	srv.Start()
 	t.Cleanup(srv.Close)
 
-	client := NewClientWithConfig(srv.URL, ClientConfig{
+	client := newClient(clientConfig{endpoints: []string{srv.URL},
 		MaxRetries:     3,
 		RetryBaseDelay: time.Millisecond,
 		RetryMaxDelay:  2 * time.Millisecond,
@@ -117,7 +117,7 @@ func TestClientDrainBoundedOnHugeBody(t *testing.T) {
 		_ = json.NewEncoder(w).Encode([]TaskDTO{{ID: 1}})
 	}))
 	t.Cleanup(srv.Close)
-	client := NewClientWithConfig(srv.URL, ClientConfig{
+	client := newClient(clientConfig{endpoints: []string{srv.URL},
 		HTTPClient:     srv.Client(),
 		MaxRetries:     1,
 		RetryBaseDelay: time.Millisecond,
@@ -166,7 +166,7 @@ func TestReplayPaceCancelPrompt(t *testing.T) {
 // the full dataset.
 func TestReplayPaceWithBatch(t *testing.T) {
 	store := NewLocalStore(testTasks(2))
-	srv := httptest.NewServer(NewServer(store, nil))
+	srv := httptest.NewServer(NewServerWithOptions(store, ServerOptions{}))
 	t.Cleanup(srv.Close)
 	client := NewClient(srv.URL, WithHTTPClient(srv.Client()))
 

@@ -138,7 +138,7 @@ type RecoveryStats struct {
 
 // Durability journals a Store's mutations into a write-ahead log and
 // periodically compacts the log into snapshots. All methods that touch
-// the WAL run under the owning store's mutex: appendLocked and
+// the WAL run under the owning store's mutex: appendBatchLocked and
 // maybeCompactLocked are called by the store with the lock held, and the
 // public Snapshot/Close take it themselves.
 type Durability struct {
@@ -371,7 +371,7 @@ func OpenDurable(dir string, tasks []mcs.Task, opts DurableOptions) (*LocalStore
 			stats.RecordsSkipped++ // snapshot already covers it
 			continue
 		}
-		if store.replayRecord(rec) {
+		if store.replayRecordLocked(rec) { // no lock needed: store not shared yet
 			stats.RecordsReplayed++
 		} else {
 			stats.RecordsSkipped++
@@ -453,20 +453,15 @@ func storeFromDataset(ds *mcs.Dataset) *LocalStore {
 	return s
 }
 
-// replayRecord applies one recovered WAL record. It tolerates records the
-// current state already contains — a crash between the snapshot rename
-// and the WAL reset leaves both holding the same operations — and
+// replayRecordLocked applies one WAL record; caller must hold mu. It is
+// the only code that turns a mutation into store state: the client commit
+// path applies its freshly journaled records through it, WAL recovery
+// replays the log through it, and a follower applies shipped frames
+// through it. Recovery may hand it records the current state already
+// contains — a crash between the snapshot rename and the WAL reset leaves
+// both holding the same operations — so it tolerates duplicates and
 // silently drops records that fail validation rather than refusing to
 // start. Returns whether state changed.
-func (s *LocalStore) replayRecord(rec walRecord) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.replayRecordLocked(rec)
-}
-
-// replayRecordLocked is replayRecord with the store mutex already held —
-// the follower apply path journals and replays a shipped frame under one
-// critical section.
 func (s *LocalStore) replayRecordLocked(rec walRecord) bool {
 	switch rec.Op {
 	case opSubmit:
@@ -511,58 +506,16 @@ func (s *LocalStore) replayRecordLocked(rec walRecord) bool {
 	return false
 }
 
-// appendLocked journals one mutation. Called by the store with its mutex
-// held and the record fully validated, before the mutation is applied.
-// Without group commit the frame is fsynced inline and the returned token
-// is already settled; with group commit the frame is only buffered, and
-// the caller must redeem the token with waitDurable — after releasing the
-// store lock — before acknowledging. On error the store does not apply
-// the mutation.
-func (d *Durability) appendLocked(rec walRecord) (commitToken, error) {
-	if d.closed {
-		return commitToken{}, fmt.Errorf("%w: durability closed", ErrDurability)
-	}
-	rec.Seq = d.seq + 1
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return commitToken{}, fmt.Errorf("%w: encode: %v", ErrDurability, err)
-	}
-	sw := d.reg.Timer("wal.append_seconds").Start()
-	off := d.w.Size()
-	err = d.w.Append(payload)
-	sw.Stop()
-	if err != nil {
-		d.reg.Counter("wal.append_errors").Inc()
-		return commitToken{}, fmt.Errorf("%w: append: %v", ErrDurability, err)
-	}
-	// The frame is on the log from here (even if the fsync may later fail
-	// it can survive), so the sequence number is consumed either way.
-	d.seq++
-	d.walOffsets = append(d.walOffsets, off)
-	if d.gc != nil {
-		d.noteAppendedLocked(1)
-		return commitToken{seq: d.seq, epoch: d.epoch, wait: true}, nil
-	}
-	fw := d.reg.Timer("wal.fsync_seconds").Start()
-	err = d.w.Sync()
-	fw.Stop()
-	if err != nil {
-		d.reg.Counter("wal.append_errors").Inc()
-		return commitToken{}, fmt.Errorf("%w: fsync: %v", ErrDurability, err)
-	}
-	d.sinceSnapshot++
-	d.reg.Counter("wal.records").Inc()
-	d.reg.Gauge("wal.size_bytes").Set(d.w.Size())
-	d.notifyDurable()
-	return commitToken{seq: d.seq, epoch: d.epoch}, nil
-}
-
-// appendBatchLocked journals several mutations as one buffered WAL write.
-// All-or-nothing at the process level: a failed write is repaired by the
-// writer (no frame survives, no sequence number is consumed) and the
-// whole batch reports the error. On success every record has a sequence
-// number; the returned token covers the last one, so redeeming it makes
-// the whole batch durable.
+// appendBatchLocked journals a client mutation's records as one buffered
+// WAL write. Called by the store's commit path with its mutex held and the
+// records fully validated, before they are applied. All-or-nothing at the
+// process level: a failed write is repaired by the writer (no frame
+// survives, no sequence number is consumed) and the whole batch reports
+// the error. On success every record has a sequence number and the
+// returned token covers the last one. Without group commit the frames are
+// fsynced inline and the token is already settled; with group commit they
+// are only buffered, and the caller must redeem the token with waitDurable
+// — after releasing the store lock — before acknowledging.
 func (d *Durability) appendBatchLocked(recs []walRecord) (commitToken, error) {
 	if d.closed {
 		return commitToken{}, fmt.Errorf("%w: durability closed", ErrDurability)

@@ -584,7 +584,7 @@ func TestDurableStoreOverHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(NewServer(store, nil))
+	srv := httptest.NewServer(NewServerWithOptions(store, ServerOptions{}))
 	defer srv.Close()
 	client := NewClient(srv.URL)
 	ctx := context.Background()

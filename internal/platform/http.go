@@ -342,9 +342,10 @@ type Server struct {
 	gateQueued   *obs.Gauge
 }
 
-// ServerOptions configures NewServerWithOptions. The zero value matches
-// NewServer: process-wide metrics registry, no logging, no overload
-// protection.
+// ServerOptions configures NewServerWithOptions. The zero value serves
+// with the process-wide metrics registry (obs.Default(), so /metrics also
+// exposes the framework/grouping/truth instrumentation the library
+// records), no logging, and no overload protection.
 type ServerOptions struct {
 	// Logger receives request-handling diagnostics; nil disables logging.
 	Logger *log.Logger
@@ -371,20 +372,6 @@ type ServerOptions struct {
 	DisableWatch bool
 }
 
-// NewServer wires the HTTP handlers against the process-wide metrics
-// registry (obs.Default()), so the /metrics endpoints also expose the
-// framework/grouping/truth instrumentation recorded by the library.
-// logger may be nil to disable logging.
-func NewServer(store Store, logger *log.Logger) *Server {
-	return NewServerWithOptions(store, ServerOptions{Logger: logger})
-}
-
-// NewServerWithRegistry is NewServer with an explicit metrics registry;
-// nil means obs.Default().
-func NewServerWithRegistry(store Store, logger *log.Logger, reg *obs.Registry) *Server {
-	return NewServerWithOptions(store, ServerOptions{Logger: logger, Registry: reg})
-}
-
 // Route admission weights: heavier routes consume more gate capacity, so
 // one aggregation in flight leaves room for several cheap reads but two
 // aggregations can saturate a small gate — which is the point.
@@ -398,7 +385,8 @@ const (
 	weightDeferred = 0
 )
 
-// NewServerWithOptions is the fully-configurable constructor.
+// NewServerWithOptions wires the HTTP handlers against store; it is the
+// server's one constructor.
 func NewServerWithOptions(store Store, opts ServerOptions) *Server {
 	reg := opts.Registry
 	if reg == nil {

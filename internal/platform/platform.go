@@ -275,59 +275,82 @@ func (s *LocalStore) registerAccountLocked(id string) *accountState {
 	return st
 }
 
-// Submit records one observation for an account. Each account may report
-// on each task at most once (§III-C). The mutation is fully validated
-// before it is journaled, and journaled (synced to the WAL) before it is
-// applied or acknowledged.
+// commit is the store's one write path. build runs under the store lock:
+// it validates the request against current state and returns the WAL
+// records the mutation becomes (none means nothing to write). commit
+// journals them, applies them through replayRecordLocked — the function
+// WAL recovery and followers apply with, so a live, a recovered and a
+// promoted store cannot drift apart — and compacts; the fsync wait and
+// the semi-sync settle then run outside the lock.
 //
-// An expired context is refused before the mutation is journaled or
-// applied, so a shed request is never half-acknowledged. The check runs
-// again under the store lock, immediately before the WAL fsync — the
-// expensive step a deadline most wants to skip. Once journaling starts
-// the operation always completes: a journaled-but-unapplied record would
-// be the torn state durability exists to prevent.
-func (s *LocalStore) Submit(ctx context.Context, account string, task int, value float64, at time.Time) error {
-	if account == "" {
-		return ErrEmptyAccount
-	}
-	if !isFinite(value) {
-		return fmt.Errorf("%w: non-finite observation value %v", ErrMalformedRequest, value)
-	}
-	if err := s.writeAllowed(); err != nil {
+// A follower refuses (shipped frames arrive through the replication
+// manager, not this path), and so does an expired context: before the
+// lock and again under it, immediately before the WAL append — the step a
+// deadline most wants to skip. Once journaling starts the mutation always
+// completes: a journaled-but-unapplied record would be the torn state
+// durability exists to prevent.
+func (s *LocalStore) commit(ctx context.Context, build func() ([]walRecord, error)) error {
+	if err := s.writeGate(ctx); err != nil {
 		return err
 	}
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("%w: %v", ErrOverloaded, err)
-	}
-	tok, err := s.submitLocked(ctx, account, task, value, at)
+	tok, err := s.commitLocked(ctx, build)
 	if err != nil {
 		return err
 	}
 	if s.journal != nil {
 		// Under group commit the fsync that settles the token runs here,
-		// outside the store lock, shared with every concurrent submitter.
+		// outside the store lock, shared with every concurrent writer.
 		if err := s.journal.waitDurable(tok); err != nil {
 			return err
 		}
 	}
 	if s.repl != nil {
-		// Semi-sync: the ack waits for a follower to hold the record too.
-		if err := s.repl.settle(ctx, tok); err != nil {
-			return err
-		}
+		// Semi-sync: the ack waits for a follower to hold the records too
+		// (the token carries the last sequence number journaled).
+		return s.repl.settle(ctx, tok)
 	}
-	s.notifySubmitted([]BatchSubmission{{Account: account, Task: task, Value: value, At: at}})
 	return nil
 }
 
-// writeAllowed gates client mutations by replica role: a follower never
-// takes writes directly (shipped frames arrive through the replication
-// manager, not this path).
-func (s *LocalStore) writeAllowed() error {
-	if s.repl == nil {
-		return nil
+func (s *LocalStore) commitLocked(ctx context.Context, build func() ([]walRecord, error)) (commitToken, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.writeGate(ctx); err != nil {
+		return commitToken{}, err
 	}
-	return s.repl.allowWrite()
+	recs, err := build()
+	if err != nil || len(recs) == 0 {
+		return commitToken{}, err
+	}
+	var tok commitToken
+	if s.journal != nil {
+		// All-or-nothing at the process level: on error the writer
+		// repaired any partial frame, so nothing is applied.
+		if tok, err = s.journal.appendBatchLocked(recs); err != nil {
+			return commitToken{}, err
+		}
+	}
+	for _, rec := range recs {
+		s.replayRecordLocked(rec)
+	}
+	if s.journal != nil {
+		s.journal.maybeCompactLocked()
+	}
+	return tok, nil
+}
+
+// writeGate refuses a client mutation on a replica follower or past its
+// deadline.
+func (s *LocalStore) writeGate(ctx context.Context) error {
+	if s.repl != nil {
+		if err := s.repl.allowWrite(); err != nil {
+			return err
+		}
+	}
+	if err := ctx.Err(); err != nil {
+		return fmt.Errorf("%w: %v", ErrOverloaded, err)
+	}
+	return nil
 }
 
 // readAllowed gates reads by follower staleness (no-op unless a
@@ -339,46 +362,11 @@ func (s *LocalStore) readAllowed() error {
 	return s.repl.allowRead()
 }
 
-// submitLocked validates, journals, and applies one submission under the
-// store lock, returning the commit token the caller must redeem (outside
-// the lock) before acknowledging.
-func (s *LocalStore) submitLocked(ctx context.Context, account string, task int, value float64, at time.Time) (commitToken, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if task < 0 || task >= len(s.tasks) {
-		return commitToken{}, fmt.Errorf("%w: %d", ErrUnknownTask, task)
-	}
-	if _, moved := s.fenced[account]; moved {
-		return commitToken{}, &WrongShardError{RingVersion: s.fenceVersion}
-	}
-	st := s.accounts[account]
-	if st == nil {
-		if err := s.roomForAccountLocked(); err != nil {
-			return commitToken{}, err
-		}
-	} else if _, dup := st.observations[task]; dup {
-		return commitToken{}, fmt.Errorf("%w: account %q task %d", ErrDuplicateReport, account, task)
-	}
-	if err := ctx.Err(); err != nil {
-		return commitToken{}, fmt.Errorf("%w: %v", ErrOverloaded, err)
-	}
-	var tok commitToken
-	if s.journal != nil {
-		var err error
-		tok, err = s.journal.appendLocked(walRecord{Op: opSubmit, Account: account, Task: task, Value: value, Time: at})
-		if err != nil {
-			return commitToken{}, err
-		}
-	}
-	if st == nil {
-		st = s.registerAccountLocked(account)
-	}
-	st.observations[task] = mcs.Observation{Task: task, Value: value, Time: at}
-	obs.Default().Counter("platform.submissions").Inc()
-	if s.journal != nil {
-		s.journal.maybeCompactLocked()
-	}
-	return tok, nil
+// Submit records one observation for an account. Each account may report
+// on each task at most once (§III-C). It is a batch of one, so role and
+// deadline refusals come before per-item validation, as for SubmitBatch.
+func (s *LocalStore) Submit(ctx context.Context, account string, task int, value float64, at time.Time) error {
+	return s.SubmitBatch(ctx, []BatchSubmission{{Account: account, Task: task, Value: value, At: at}})[0]
 }
 
 // BatchSubmission is one item of a bulk submit (Store.SubmitBatch).
@@ -392,150 +380,78 @@ type BatchSubmission struct {
 // SubmitBatch records many observations in one WAL write + one fsync.
 // Items are validated independently — a duplicate or malformed item gets
 // its own error and does not poison the rest of the batch — and the
-// per-item errors come back positionally (nil = acknowledged durable).
-// Deadline semantics match Submit: the batch is refused whole before the
-// journal write begins, never after.
+// per-item errors come back positionally (nil = acknowledged durable). A
+// refusal or a journal failure fails every item that passed validation.
 func (s *LocalStore) SubmitBatch(ctx context.Context, items []BatchSubmission) []error {
 	errs := make([]error, len(items))
 	if len(items) == 0 {
 		return errs
 	}
-	if err := s.writeAllowed(); err != nil {
-		for i := range errs {
-			errs[i] = err
-		}
-		return errs
-	}
-	if err := ctx.Err(); err != nil {
-		e := fmt.Errorf("%w: %v", ErrOverloaded, err)
-		for i := range errs {
-			errs[i] = e
-		}
-		return errs
-	}
-	tok, applied := s.submitBatchLocked(ctx, items, errs)
-	if s.journal != nil && len(applied) > 0 {
-		if err := s.journal.waitDurable(tok); err != nil {
-			for _, i := range applied {
-				errs[i] = err
-			}
-		}
-	}
-	if s.repl != nil && len(applied) > 0 {
-		// One follower ack covers the whole batch (the token carries the
-		// last sequence number journaled).
-		if err := s.repl.settle(ctx, tok); err != nil {
-			for _, i := range applied {
-				if errs[i] == nil {
-					errs[i] = err
-				}
-			}
-		}
-	}
+	err := s.commit(ctx, func() ([]walRecord, error) {
+		return s.validateBatchLocked(items, errs), nil
+	})
 	// Feed the acknowledged subset (applied and durably settled) to the
 	// stream listener.
 	var acked []BatchSubmission
-	for _, i := range applied {
-		if errs[i] == nil {
-			acked = append(acked, items[i])
+	for i := range items {
+		if errs[i] != nil {
+			continue
 		}
+		if err != nil {
+			errs[i] = err
+			continue
+		}
+		acked = append(acked, items[i])
 	}
+	obs.Default().Counter("platform.submissions").Add(int64(len(acked)))
 	s.notifySubmitted(acked)
 	return errs
 }
 
-// submitBatchLocked validates each item (later items see earlier valid
+// validateBatchLocked validates each item (later items see earlier valid
 // ones as already applied — an in-batch duplicate is a duplicate, and the
-// account cap counts accounts the batch itself registers), journals every
-// valid item as one WAL batch, and applies them. Per-item errors land in
-// errs; the returned indexes are the items applied, covered by the token.
-func (s *LocalStore) submitBatchLocked(ctx context.Context, items []BatchSubmission, errs []error) (commitToken, []int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// account cap counts accounts the batch itself registers) and returns the
+// valid ones as WAL records. Per-item errors land in errs.
+func (s *LocalStore) validateBatchLocked(items []BatchSubmission, errs []error) []walRecord {
 	type reportKey struct {
 		account string
 		task    int
 	}
 	inBatch := make(map[reportKey]bool)
 	newAccounts := make(map[string]bool)
-	valid := make([]int, 0, len(items))
+	recs := make([]walRecord, 0, len(items))
 	for i, it := range items {
-		if it.Account == "" {
-			errs[i] = ErrEmptyAccount
-			continue
-		}
-		if !isFinite(it.Value) {
-			errs[i] = fmt.Errorf("%w: non-finite observation value %v", ErrMalformedRequest, it.Value)
-			continue
-		}
-		if it.Task < 0 || it.Task >= len(s.tasks) {
-			errs[i] = fmt.Errorf("%w: %d", ErrUnknownTask, it.Task)
-			continue
-		}
-		if _, moved := s.fenced[it.Account]; moved {
-			errs[i] = &WrongShardError{RingVersion: s.fenceVersion}
-			continue
-		}
+		key := reportKey{it.Account, it.Task}
+		_, moved := s.fenced[it.Account]
 		st := s.accounts[it.Account]
-		dup := inBatch[reportKey{it.Account, it.Task}]
+		dup := inBatch[key]
 		if !dup && st != nil {
 			_, dup = st.observations[it.Task]
 		}
-		if dup {
+		switch {
+		case it.Account == "":
+			errs[i] = ErrEmptyAccount
+		case !isFinite(it.Value):
+			errs[i] = fmt.Errorf("%w: non-finite observation value %v", ErrMalformedRequest, it.Value)
+		case it.Task < 0 || it.Task >= len(s.tasks):
+			errs[i] = fmt.Errorf("%w: %d", ErrUnknownTask, it.Task)
+		case moved:
+			errs[i] = &WrongShardError{RingVersion: s.fenceVersion}
+		case dup:
 			errs[i] = fmt.Errorf("%w: account %q task %d", ErrDuplicateReport, it.Account, it.Task)
+		case st == nil && !newAccounts[it.Account] && s.maxAccounts > 0 && len(s.accounts)+len(newAccounts) >= s.maxAccounts:
+			errs[i] = fmt.Errorf("%w (%d)", ErrTooManyAccounts, s.maxAccounts)
+		}
+		if errs[i] != nil {
 			continue
 		}
-		if st == nil && !newAccounts[it.Account] {
-			if s.maxAccounts > 0 && len(s.accounts)+len(newAccounts) >= s.maxAccounts {
-				errs[i] = fmt.Errorf("%w (%d)", ErrTooManyAccounts, s.maxAccounts)
-				continue
-			}
+		if st == nil {
 			newAccounts[it.Account] = true
 		}
-		inBatch[reportKey{it.Account, it.Task}] = true
-		valid = append(valid, i)
+		inBatch[key] = true
+		recs = append(recs, walRecord{Op: opSubmit, Account: it.Account, Task: it.Task, Value: it.Value, Time: it.At})
 	}
-	if len(valid) == 0 {
-		return commitToken{}, nil
-	}
-	if err := ctx.Err(); err != nil {
-		e := fmt.Errorf("%w: %v", ErrOverloaded, err)
-		for _, i := range valid {
-			errs[i] = e
-		}
-		return commitToken{}, nil
-	}
-	var tok commitToken
-	if s.journal != nil {
-		recs := make([]walRecord, len(valid))
-		for j, i := range valid {
-			it := items[i]
-			recs[j] = walRecord{Op: opSubmit, Account: it.Account, Task: it.Task, Value: it.Value, Time: it.At}
-		}
-		var err error
-		tok, err = s.journal.appendBatchLocked(recs)
-		if err != nil {
-			// The batch write is all-or-nothing at the process level (the
-			// writer repaired any partial frame), so nothing was applied.
-			for _, i := range valid {
-				errs[i] = err
-			}
-			return commitToken{}, nil
-		}
-	}
-	for _, i := range valid {
-		it := items[i]
-		st := s.accounts[it.Account]
-		if st == nil {
-			st = s.registerAccountLocked(it.Account)
-		}
-		st.observations[it.Task] = mcs.Observation{Task: it.Task, Value: it.Value, Time: it.At}
-	}
-	obs.Default().Counter("platform.submissions").Add(int64(len(valid)))
-	if s.journal != nil {
-		s.journal.maybeCompactLocked()
-	}
-	return tok, valid
+	return recs
 }
 
 // RecordFingerprint extracts Table II features from a raw sign-in capture
@@ -553,18 +469,13 @@ func (s *LocalStore) RecordFingerprint(ctx context.Context, account string, rec 
 		len(rec.GyroX) != n || len(rec.GyroY) != n || len(rec.GyroZ) != n {
 		return ErrBadFingerprint
 	}
-	vec := fingerprint.Extract(rec)
-	for _, f := range vec {
-		if !isFinite(f) {
-			return fmt.Errorf("%w: capture yields non-finite features", ErrBadFingerprint)
-		}
-	}
-	return s.setFingerprint(ctx, account, vec)
+	return s.RecordFingerprintFeatures(ctx, account, fingerprint.Extract(rec))
 }
 
 // RecordFingerprintFeatures stores an already-extracted fingerprint
 // feature vector for the account (the replay path: archived campaigns
-// hold features, not raw captures).
+// hold features, not raw captures). The apply copies features, so the
+// caller keeps ownership.
 func (s *LocalStore) RecordFingerprintFeatures(ctx context.Context, account string, features []float64) error {
 	if account == "" {
 		return ErrEmptyAccount
@@ -577,66 +488,21 @@ func (s *LocalStore) RecordFingerprintFeatures(ctx context.Context, account stri
 			return fmt.Errorf("%w: non-finite feature %v", ErrBadFingerprint, f)
 		}
 	}
-	return s.setFingerprint(ctx, account, append([]float64(nil), features...))
-}
-
-// setFingerprint journals and applies a validated feature vector. vec
-// ownership transfers to the store. Deadline semantics match Submit:
-// refuse before the journal fsync, never after.
-func (s *LocalStore) setFingerprint(ctx context.Context, account string, vec []float64) error {
-	if err := s.writeAllowed(); err != nil {
-		return err
-	}
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("%w: %v", ErrOverloaded, err)
-	}
-	tok, err := s.setFingerprintLocked(ctx, account, vec)
-	if err != nil {
-		return err
-	}
-	if s.journal != nil {
-		if err := s.journal.waitDurable(tok); err != nil {
-			return err
+	err := s.commit(ctx, func() ([]walRecord, error) {
+		if _, moved := s.fenced[account]; moved {
+			return nil, &WrongShardError{RingVersion: s.fenceVersion}
 		}
-	}
-	if s.repl != nil {
-		return s.repl.settle(ctx, tok)
-	}
-	return nil
-}
-
-func (s *LocalStore) setFingerprintLocked(ctx context.Context, account string, vec []float64) (commitToken, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, moved := s.fenced[account]; moved {
-		return commitToken{}, &WrongShardError{RingVersion: s.fenceVersion}
-	}
-	st := s.accounts[account]
-	if st == nil {
-		if err := s.roomForAccountLocked(); err != nil {
-			return commitToken{}, err
+		if s.accounts[account] == nil {
+			if err := s.roomForAccountLocked(); err != nil {
+				return nil, err
+			}
 		}
+		return []walRecord{{Op: opFingerprint, Account: account, Features: features}}, nil
+	})
+	if err == nil {
+		obs.Default().Counter("platform.fingerprints").Inc()
 	}
-	if err := ctx.Err(); err != nil {
-		return commitToken{}, fmt.Errorf("%w: %v", ErrOverloaded, err)
-	}
-	var tok commitToken
-	if s.journal != nil {
-		var err error
-		tok, err = s.journal.appendLocked(walRecord{Op: opFingerprint, Account: account, Features: vec})
-		if err != nil {
-			return commitToken{}, err
-		}
-	}
-	if st == nil {
-		st = s.registerAccountLocked(account)
-	}
-	st.fingerprint = vec
-	obs.Default().Counter("platform.fingerprints").Inc()
-	if s.journal != nil {
-		s.journal.maybeCompactLocked()
-	}
-	return tok, nil
+	return err
 }
 
 // Fence durably marks accounts as moved off this shard as of ringVersion
@@ -652,47 +518,13 @@ func (s *LocalStore) Fence(ctx context.Context, ringVersion uint64, accounts []s
 	if ringVersion == 0 {
 		return fmt.Errorf("%w: fence needs a ring version", ErrMalformedRequest)
 	}
-	if err := s.writeAllowed(); err != nil {
-		return err
+	err := s.commit(ctx, func() ([]walRecord, error) {
+		return []walRecord{{Op: opFence, Ring: ringVersion, Accounts: accounts}}, nil
+	})
+	if err == nil {
+		obs.Default().Counter("platform.fences").Inc()
 	}
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("%w: %v", ErrOverloaded, err)
-	}
-	tok, err := s.fenceLocked(ctx, ringVersion, accounts)
-	if err != nil {
-		return err
-	}
-	if s.journal != nil {
-		if err := s.journal.waitDurable(tok); err != nil {
-			return err
-		}
-	}
-	if s.repl != nil {
-		return s.repl.settle(ctx, tok)
-	}
-	return nil
-}
-
-func (s *LocalStore) fenceLocked(ctx context.Context, ringVersion uint64, accounts []string) (commitToken, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := ctx.Err(); err != nil {
-		return commitToken{}, fmt.Errorf("%w: %v", ErrOverloaded, err)
-	}
-	var tok commitToken
-	if s.journal != nil {
-		var err error
-		tok, err = s.journal.appendLocked(walRecord{Op: opFence, Ring: ringVersion, Accounts: accounts})
-		if err != nil {
-			return commitToken{}, err
-		}
-	}
-	s.applyFenceLocked(ringVersion, accounts)
-	obs.Default().Counter("platform.fences").Inc()
-	if s.journal != nil {
-		s.journal.maybeCompactLocked()
-	}
-	return tok, nil
+	return err
 }
 
 // applyFenceLocked installs the fence in memory. Shared by the client
@@ -764,58 +596,23 @@ func (s *LocalStore) PurgeFenced(ctx context.Context, ringVersion uint64) (int, 
 	if ringVersion == 0 {
 		return 0, fmt.Errorf("%w: purge needs a ring version", ErrMalformedRequest)
 	}
-	if err := s.writeAllowed(); err != nil {
+	n := 0
+	err := s.commit(ctx, func() ([]walRecord, error) {
+		for a, v := range s.fenced {
+			if v <= ringVersion && s.accounts[a] != nil {
+				n++
+			}
+		}
+		if n == 0 {
+			return nil, nil
+		}
+		return []walRecord{{Op: opUnfencePurge, Ring: ringVersion}}, nil
+	})
+	if err != nil {
 		return 0, err
 	}
-	if err := ctx.Err(); err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrOverloaded, err)
-	}
-	n, tok, err := s.purgeLocked(ctx, ringVersion)
-	if err != nil || n == 0 {
-		return n, err
-	}
-	if s.journal != nil {
-		if err := s.journal.waitDurable(tok); err != nil {
-			return 0, err
-		}
-	}
-	if s.repl != nil {
-		return n, s.repl.settle(ctx, tok)
-	}
-	return n, nil
-}
-
-func (s *LocalStore) purgeLocked(ctx context.Context, ringVersion uint64) (int, commitToken, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := ctx.Err(); err != nil {
-		return 0, commitToken{}, fmt.Errorf("%w: %v", ErrOverloaded, err)
-	}
-	// Count first: an empty purge must not burn a WAL record (the
-	// coordinator re-issues purges freely on resume).
-	pending := 0
-	for a, v := range s.fenced {
-		if v <= ringVersion && s.accounts[a] != nil {
-			pending++
-		}
-	}
-	if pending == 0 {
-		return 0, commitToken{}, nil
-	}
-	var tok commitToken
-	if s.journal != nil {
-		var err error
-		tok, err = s.journal.appendLocked(walRecord{Op: opUnfencePurge, Ring: ringVersion})
-		if err != nil {
-			return 0, commitToken{}, err
-		}
-	}
-	n := s.applyPurgeLocked(ringVersion)
 	obs.Default().Counter("platform.purged_accounts").Add(int64(n))
-	if s.journal != nil {
-		s.journal.maybeCompactLocked()
-	}
-	return n, tok, nil
+	return n, nil
 }
 
 // applyPurgeLocked drops fenced accounts' data in memory. Shared by the

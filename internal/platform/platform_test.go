@@ -184,7 +184,7 @@ func TestStoreConcurrentSubmissions(t *testing.T) {
 func newTestServer(t *testing.T, numTasks int) (*httptest.Server, *Client) {
 	t.Helper()
 	store := NewLocalStore(testTasks(numTasks))
-	srv := httptest.NewServer(NewServer(store, nil))
+	srv := httptest.NewServer(NewServerWithOptions(store, ServerOptions{}))
 	t.Cleanup(srv.Close)
 	return srv, NewClient(srv.URL, WithHTTPClient(srv.Client()))
 }
@@ -533,7 +533,7 @@ func TestAccountCap(t *testing.T) {
 func TestAccountCapOverHTTP(t *testing.T) {
 	store := NewLocalStore(testTasks(1))
 	store.SetMaxAccounts(1)
-	srv := httptest.NewServer(NewServer(store, nil))
+	srv := httptest.NewServer(NewServerWithOptions(store, ServerOptions{}))
 	t.Cleanup(srv.Close)
 	client := NewClient(srv.URL, WithHTTPClient(srv.Client()))
 	ctx := context.Background()
@@ -554,7 +554,7 @@ func TestReplayDataset(t *testing.T) {
 		t.Fatal(err)
 	}
 	store := NewLocalStore(sc.Dataset.Tasks)
-	srv := httptest.NewServer(NewServer(store, nil))
+	srv := httptest.NewServer(NewServerWithOptions(store, ServerOptions{}))
 	t.Cleanup(srv.Close)
 	client := NewClient(srv.URL, WithHTTPClient(srv.Client()))
 

@@ -124,7 +124,7 @@ type noPurgeStore struct{ Store }
 // code instead of a generic 500.
 func TestPurgeOverHTTP(t *testing.T) {
 	store := NewLocalStore(testTasks(2))
-	api := NewServer(store, nil)
+	api := NewServerWithOptions(store, ServerOptions{})
 	srv := httptest.NewServer(api)
 	t.Cleanup(srv.Close)
 	t.Cleanup(api.Close)
@@ -150,7 +150,7 @@ func TestPurgeOverHTTP(t *testing.T) {
 		t.Errorf("remote PurgeFenced(0) = %v, want ErrMalformedRequest", err)
 	}
 
-	plain := NewServer(noPurgeStore{NewLocalStore(testTasks(2))}, nil)
+	plain := NewServerWithOptions(noPurgeStore{NewLocalStore(testTasks(2))}, ServerOptions{})
 	plainSrv := httptest.NewServer(plain)
 	t.Cleanup(plainSrv.Close)
 	t.Cleanup(plain.Close)

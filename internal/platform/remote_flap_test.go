@@ -22,7 +22,7 @@ import (
 // streak and refusing calls that would have succeeded on the other
 // endpoint.
 func TestRemoteStoreFlappingEndpointDoesNotStickBreakerOpen(t *testing.T) {
-	backend := httptest.NewServer(NewServer(NewLocalStore(testTasks(1)), nil))
+	backend := httptest.NewServer(NewServerWithOptions(NewLocalStore(testTasks(1)), ServerOptions{}))
 	defer backend.Close()
 
 	// The flapper: odd-numbered requests answer 503 shard_unavailable,

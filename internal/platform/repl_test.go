@@ -640,7 +640,7 @@ func TestPromotionCatchUpAndOldPrimaryRejoin(t *testing.T) {
 // TestReplEndpointsUnimplementedWithoutReplication: the repl routes on an
 // unreplicated node answer the typed 501 wire shape.
 func TestReplEndpointsUnimplementedWithoutReplication(t *testing.T) {
-	srv := httptest.NewServer(NewServer(NewLocalStore(testTasks(1)), nil))
+	srv := httptest.NewServer(NewServerWithOptions(NewLocalStore(testTasks(1)), ServerOptions{}))
 	defer srv.Close()
 	c := NewClient(srv.URL, WithRetries(0))
 	_, err := c.ReplStatus(context.Background())

@@ -32,7 +32,7 @@ func TestClientHonorsRetryAfterOn429(t *testing.T) {
 	}))
 	t.Cleanup(srv.Close)
 
-	client := NewClientWithConfig(srv.URL, ClientConfig{
+	client := newClient(clientConfig{endpoints: []string{srv.URL},
 		HTTPClient:     srv.Client(),
 		MaxRetries:     2,
 		RetryBaseDelay: time.Millisecond,
@@ -62,7 +62,7 @@ func TestClientRetries429WithRateLimitedCodeButNoHeader(t *testing.T) {
 		_ = json.NewEncoder(w).Encode([]TaskDTO{{ID: 0}})
 	}))
 	t.Cleanup(srv.Close)
-	client := NewClientWithConfig(srv.URL, ClientConfig{
+	client := newClient(clientConfig{endpoints: []string{srv.URL},
 		HTTPClient:     srv.Client(),
 		MaxRetries:     1,
 		RetryBaseDelay: time.Millisecond,
@@ -86,7 +86,7 @@ func TestClientDoesNotRetrySemantic429(t *testing.T) {
 		_ = json.NewEncoder(w).Encode(ErrorResponse{Code: CodeAccountCapReached, Error: "cap"})
 	}))
 	t.Cleanup(srv.Close)
-	client := NewClientWithConfig(srv.URL, ClientConfig{
+	client := newClient(clientConfig{endpoints: []string{srv.URL},
 		HTTPClient:     srv.Client(),
 		MaxRetries:     5,
 		RetryBaseDelay: time.Millisecond,
@@ -111,7 +111,7 @@ func TestClientBackoffAbortsOnContextCancel(t *testing.T) {
 		_ = json.NewEncoder(w).Encode(ErrorResponse{Code: CodeRateLimited, Error: "wait"})
 	}))
 	t.Cleanup(srv.Close)
-	client := NewClientWithConfig(srv.URL, ClientConfig{
+	client := newClient(clientConfig{endpoints: []string{srv.URL},
 		HTTPClient: srv.Client(),
 		MaxRetries: 3,
 	})
@@ -149,7 +149,7 @@ func TestClientRetriesTornBody(t *testing.T) {
 		_ = json.NewEncoder(w).Encode([]TaskDTO{{ID: 7}})
 	}))
 	t.Cleanup(srv.Close)
-	client := NewClientWithConfig(srv.URL, ClientConfig{
+	client := newClient(clientConfig{endpoints: []string{srv.URL},
 		HTTPClient:     srv.Client(),
 		MaxRetries:     2,
 		RetryBaseDelay: time.Millisecond,
@@ -176,7 +176,7 @@ func TestClientBreakerOpensAndFailsFast(t *testing.T) {
 		w.WriteHeader(http.StatusInternalServerError)
 	}))
 	t.Cleanup(srv.Close)
-	client := NewClientWithConfig(srv.URL, ClientConfig{
+	client := newClient(clientConfig{endpoints: []string{srv.URL},
 		HTTPClient:       srv.Client(),
 		MaxRetries:       0,
 		BreakerThreshold: 3,
@@ -213,7 +213,7 @@ func TestClientBreakerRecoversViaProbe(t *testing.T) {
 		_ = json.NewEncoder(w).Encode([]TaskDTO{{ID: 0}})
 	}))
 	t.Cleanup(srv.Close)
-	client := NewClientWithConfig(srv.URL, ClientConfig{
+	client := newClient(clientConfig{endpoints: []string{srv.URL},
 		HTTPClient:       srv.Client(),
 		BreakerThreshold: 2,
 		BreakerCooldown:  10 * time.Millisecond,

@@ -51,7 +51,7 @@ func TestChaosReplicatedPrimaryKillZeroAckedLoss(t *testing.T) {
 		Registry:      reg,
 	})
 	t.Cleanup(poller.Stop)
-	routerAPI := platform.NewServer(store, nil)
+	routerAPI := platform.NewServerWithOptions(store, platform.ServerOptions{})
 	router := httptest.NewServer(routerAPI)
 	t.Cleanup(router.Close)
 	t.Cleanup(routerAPI.Close)

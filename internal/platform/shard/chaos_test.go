@@ -65,7 +65,7 @@ func (s *crashableShard) start(tasks int) {
 		s.t.Fatalf("open shard dir %s: %v", s.dir, err)
 	}
 	s.mu.Lock()
-	s.store, s.d, s.api, s.alive = store, d, platform.NewServer(store, nil), true
+	s.store, s.d, s.api, s.alive = store, d, platform.NewServerWithOptions(store, platform.ServerOptions{}), true
 	s.mu.Unlock()
 }
 
@@ -120,7 +120,7 @@ func TestChaosShardedZeroAckedLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	routerAPI := platform.NewServer(store, nil)
+	routerAPI := platform.NewServerWithOptions(store, platform.ServerOptions{})
 	router := httptest.NewServer(routerAPI)
 	t.Cleanup(router.Close)
 	t.Cleanup(routerAPI.Close)

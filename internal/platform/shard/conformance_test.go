@@ -165,7 +165,7 @@ func runWireCases(t *testing.T, base string, cases []wireCase, router bool) {
 func TestWireCodeConformanceSingleNode(t *testing.T) {
 	store := platform.NewLocalStore(testTasks(1))
 	store.SetMaxAccounts(2)
-	api := platform.NewServer(store, nil)
+	api := platform.NewServerWithOptions(store, platform.ServerOptions{})
 	srv := httptest.NewServer(api)
 	t.Cleanup(srv.Close)
 	t.Cleanup(api.Close)

@@ -181,7 +181,7 @@ func TestFailoverPromotesOnPrimaryDeath(t *testing.T) {
 		Registry:      reg,
 	})
 	t.Cleanup(poller.Stop)
-	routerAPI := platform.NewServer(store, nil)
+	routerAPI := platform.NewServerWithOptions(store, platform.ServerOptions{})
 	router := httptest.NewServer(routerAPI)
 	t.Cleanup(router.Close)
 	t.Cleanup(routerAPI.Close)

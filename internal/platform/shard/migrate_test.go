@@ -60,7 +60,7 @@ func TestRingMovedDeltaMinimalOnGrow(t *testing.T) {
 // moved account itself.
 func TestReshardStaleRingVersionFencedOverHTTP(t *testing.T) {
 	store := platform.NewLocalStore(testTasks(2))
-	api := platform.NewServer(store, nil)
+	api := platform.NewServerWithOptions(store, platform.ServerOptions{})
 	srv := httptest.NewServer(api)
 	t.Cleanup(srv.Close)
 	t.Cleanup(api.Close)
@@ -265,7 +265,7 @@ func TestReshardWriteRacedAgainstCutoverNeverFails(t *testing.T) {
 	if _, ok := g["reshard.duration_seconds"]; !ok {
 		t.Error("reshard.duration_seconds gauge never set")
 	}
-	api := platform.NewServer(s, nil)
+	api := platform.NewServerWithOptions(s, platform.ServerOptions{})
 	srv := httptest.NewServer(api)
 	t.Cleanup(srv.Close)
 	t.Cleanup(api.Close)

@@ -33,7 +33,7 @@ func newHTTPFleet(t *testing.T, shards, tasks int) *httpFleet {
 	addrs := make([]string, shards)
 	for i := 0; i < shards; i++ {
 		local := platform.NewLocalStore(testTasks(tasks))
-		api := platform.NewServer(local, nil)
+		api := platform.NewServerWithOptions(local, platform.ServerOptions{})
 		srv := httptest.NewServer(api)
 		t.Cleanup(srv.Close)
 		t.Cleanup(api.Close)
@@ -48,7 +48,7 @@ func newHTTPFleet(t *testing.T, shards, tasks int) *httpFleet {
 		t.Fatal(err)
 	}
 	f.store = store
-	f.routerAPI = platform.NewServer(store, nil)
+	f.routerAPI = platform.NewServerWithOptions(store, platform.ServerOptions{})
 	f.router = httptest.NewServer(f.routerAPI)
 	t.Cleanup(f.router.Close)
 	t.Cleanup(f.routerAPI.Close)

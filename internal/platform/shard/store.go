@@ -522,31 +522,23 @@ func (s *Store) Submit(ctx context.Context, account string, task int, value floa
 	return nil
 }
 
-// submitBatchTo dispatches one shard's sub-batch to its current primary,
-// with the same not_primary refresh-and-retry as single writes. A follower
-// rejects the whole sub-batch at the door (every error not_primary, no
-// item applied), so resending the full sub-batch to the real primary is
-// safe.
+// submitBatchTo dispatches one shard's sub-batch to its current primary
+// through writeTo, so it gets the same not_primary refresh-and-retry as
+// single writes. A follower rejects the whole sub-batch at the door (every
+// error not_primary, no item applied), so resending the full sub-batch to
+// the real primary is safe.
 func (s *Store) submitBatchTo(ctx context.Context, t *topology, gi int, sub []platform.BatchSubmission) []error {
-	g := t.groups[gi]
-	cur := g.primaryIdx()
-	errs := g.replicas[cur].SubmitBatch(ctx, sub)
-	if len(g.replicas) == 1 {
-		return errs
-	}
-	retriable := false
-	for _, err := range errs {
-		if err != nil && errors.Is(err, platform.ErrNotPrimary) {
-			retriable = true
-			break
+	var errs []error
+	// writeTo's error is one of errs; the per-item errors are the result.
+	_ = s.writeTo(ctx, t, gi, func(b platform.Store) error {
+		errs = b.SubmitBatch(ctx, sub)
+		for _, err := range errs {
+			if errors.Is(err, platform.ErrNotPrimary) {
+				return err
+			}
 		}
-	}
-	if !retriable {
-		return errs
-	}
-	if idx, ok := s.refreshPrimary(ctx, t, gi); ok && idx != cur {
-		return g.replicas[idx].SubmitBatch(ctx, sub)
-	}
+		return nil
+	})
 	return errs
 }
 

@@ -222,7 +222,7 @@ func TestStoreSuiteLocal(t *testing.T) {
 
 func TestStoreSuiteRemote(t *testing.T) {
 	storeSuite(t, "remote", func(t *testing.T, numTasks int) Store {
-		api := NewServer(NewLocalStore(testTasks(numTasks)), nil)
+		api := NewServerWithOptions(NewLocalStore(testTasks(numTasks)), ServerOptions{})
 		srv := httptest.NewServer(api)
 		t.Cleanup(srv.Close)
 		t.Cleanup(api.Close)
@@ -247,7 +247,7 @@ func TestRemoteStoreSatisfiesPinger(t *testing.T) {
 // TestRemoteStoreHonorsDeadline pins that a RemoteStore call carries its
 // context into the HTTP request.
 func TestRemoteStoreHonorsDeadline(t *testing.T) {
-	api := NewServer(NewLocalStore(testTasks(1)), nil)
+	api := NewServerWithOptions(NewLocalStore(testTasks(1)), ServerOptions{})
 	srv := httptest.NewServer(api)
 	t.Cleanup(srv.Close)
 	t.Cleanup(api.Close)

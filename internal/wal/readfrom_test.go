@@ -17,7 +17,7 @@ func writeFrames(t *testing.T, fsys FS, path string, payloads [][]byte) []int64 
 	offsets := make([]int64, len(payloads))
 	for i, p := range payloads {
 		offsets[i] = w.Size()
-		if err := w.Append(p); err != nil {
+		if err := w.AppendBatch([][]byte{p}); err != nil {
 			t.Fatal(err)
 		}
 	}

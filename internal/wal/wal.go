@@ -8,8 +8,8 @@
 //	offset 4: uint32 CRC32 (IEEE) of the payload
 //	offset 8: payload bytes
 //
-// The log makes exactly one durability promise: a record whose Append and
-// Sync both returned nil survives a crash. Everything past the last such
+// The log makes exactly one durability promise: a record whose AppendBatch
+// and Sync both returned nil survives a crash. Everything past the last such
 // record — a torn frame from a mid-write power cut, a bit-flipped
 // checksum, garbage from a misdirected write — is detected by Scan and
 // truncated by Open, so a damaged log recovers to a clean prefix instead
@@ -58,17 +58,28 @@ var (
 
 // EncodeFrame wraps payload in a WAL frame.
 func EncodeFrame(payload []byte) ([]byte, error) {
+	if err := checkPayload(payload); err != nil {
+		return nil, err
+	}
+	return appendFrame(make([]byte, 0, HeaderSize+len(payload)), payload), nil
+}
+
+// checkPayload rejects a payload no frame may carry.
+func checkPayload(payload []byte) error {
 	if len(payload) == 0 {
-		return nil, ErrEmptyRecord
+		return ErrEmptyRecord
 	}
 	if len(payload) > MaxRecordSize {
-		return nil, fmt.Errorf("%w: %d bytes", ErrRecordTooLarge, len(payload))
+		return fmt.Errorf("%w: %d bytes", ErrRecordTooLarge, len(payload))
 	}
-	frame := make([]byte, HeaderSize+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
-	copy(frame[HeaderSize:], payload)
-	return frame, nil
+	return nil
+}
+
+// appendFrame appends payload's frame to buf.
+func appendFrame(buf, payload []byte) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
+	return append(buf, payload...)
 }
 
 // ScanResult describes what a recovery scan found.
@@ -138,7 +149,7 @@ func Scan(data []byte) ScanResult {
 // Writer appends frames to a log file. Appends and truncations must be
 // serialized by the caller (the platform runs them under the store lock,
 // which also keeps WAL order identical to in-memory apply order), but
-// Sync may run concurrently with an Append: the group-commit layer fsyncs
+// Sync may run concurrently with an AppendBatch: the group-commit layer fsyncs
 // from outside the store lock while new frames are still being buffered
 // behind it. An fsync that overlaps a frame write simply persists a
 // prefix of that frame, which recovery already treats as a torn record.
@@ -158,50 +169,31 @@ func NewWriter(f File, size int64) *Writer {
 	return &Writer{f: f, size: size}
 }
 
-// Append writes one framed record. It does not sync; call Sync before
-// acknowledging the record as durable. A short write is repaired by
-// truncating the partial frame back off the log; if even that fails the
-// writer declares itself broken and refuses further appends.
-func (w *Writer) Append(payload []byte) error {
-	frame, err := EncodeFrame(payload)
-	if err != nil {
-		return err
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.writeLocked(frame)
-}
-
 // AppendBatch writes n framed records as one buffered write — one syscall
 // for the whole batch, and (with the single Sync that follows) one fsync
-// for n records instead of n. The batch is validated in full before any
-// byte is written, so one oversized or empty payload rejects the batch
-// without disturbing the log. A failed or short write is repaired exactly
-// like Append: the partial batch is truncated back off the log in one
-// piece (a crash mid-batch instead leaves a frame prefix on disk, which
-// recovery keeps — the batch write is not atomic across a power cut, only
-// across process-level errors).
+// for n records instead of n. It does not sync; call Sync before
+// acknowledging the records as durable. The batch is validated in full
+// before any byte is written, so one oversized or empty payload rejects
+// the batch without disturbing the log. A failed or short write is
+// repaired by truncating the partial batch back off the log in one piece;
+// if even that fails the writer declares itself broken and refuses
+// further appends. (A crash mid-batch instead leaves a frame prefix on
+// disk, which recovery keeps — the batch write is not atomic across a
+// power cut, only across process-level errors.)
 func (w *Writer) AppendBatch(payloads [][]byte) error {
 	if len(payloads) == 0 {
 		return nil
 	}
 	total := 0
 	for _, p := range payloads {
-		if len(p) == 0 {
-			return ErrEmptyRecord
-		}
-		if len(p) > MaxRecordSize {
-			return fmt.Errorf("%w: %d bytes", ErrRecordTooLarge, len(p))
+		if err := checkPayload(p); err != nil {
+			return err
 		}
 		total += HeaderSize + len(p)
 	}
 	buf := make([]byte, 0, total)
 	for _, p := range payloads {
-		frame, err := EncodeFrame(p)
-		if err != nil {
-			return err
-		}
-		buf = append(buf, frame...)
+		buf = appendFrame(buf, p)
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -232,7 +224,7 @@ func (w *Writer) writeLocked(buf []byte) error {
 }
 
 // Sync flushes appended records to stable storage. It is safe to call
-// concurrently with Append: the fsync runs outside the writer lock (an
+// concurrently with AppendBatch: the fsync runs outside the writer lock (an
 // fsync overlapping a buffered frame write persists at worst a torn frame,
 // which recovery truncates).
 func (w *Writer) Sync() error {

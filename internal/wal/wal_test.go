@@ -19,7 +19,7 @@ func openAppend(t *testing.T, fsys FS, path string, payloads ...[]byte) *Writer 
 		t.Fatal(err)
 	}
 	for _, p := range payloads {
-		if err := w.Append(p); err != nil {
+		if err := w.AppendBatch([][]byte{p}); err != nil {
 			t.Fatal(err)
 		}
 		if err := w.Sync(); err != nil {
@@ -65,7 +65,7 @@ func TestRoundTrip(t *testing.T) {
 		}
 	}
 	// Appends after recovery must land after the existing records.
-	if err := w2.Append([]byte("after")); err != nil {
+	if err := w2.AppendBatch([][]byte{[]byte("after")}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w2.Sync(); err != nil {
@@ -167,7 +167,7 @@ func TestOpenRepairsDamage(t *testing.T) {
 		t.Fatalf("first reopen: %d records, truncated %d", len(res.Records), res.Truncated())
 	}
 	// Append on top of the repaired log, then verify a fresh scan is clean.
-	if err := w2.Append([]byte("tail")); err != nil {
+	if err := w2.AppendBatch([][]byte{[]byte("tail")}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w2.Sync(); err != nil {
@@ -195,10 +195,10 @@ func TestWriterRejectsBadPayloads(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	if err := w.Append(nil); !errors.Is(err, ErrEmptyRecord) {
+	if err := w.AppendBatch([][]byte{nil}); !errors.Is(err, ErrEmptyRecord) {
 		t.Errorf("empty append: %v", err)
 	}
-	if err := w.Append(make([]byte, MaxRecordSize+1)); !errors.Is(err, ErrRecordTooLarge) {
+	if err := w.AppendBatch([][]byte{make([]byte, MaxRecordSize+1)}); !errors.Is(err, ErrRecordTooLarge) {
 		t.Errorf("oversized append: %v", err)
 	}
 	if w.Size() != 0 {
@@ -212,7 +212,7 @@ func TestReset(t *testing.T) {
 	if err := w.Reset(); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Append([]byte("fresh")); err != nil {
+	if err := w.AppendBatch([][]byte{[]byte("fresh")}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Sync(); err != nil {
@@ -239,10 +239,10 @@ func TestShortWriteIsRepaired(t *testing.T) {
 	w := openAppend(t, ffs, path, []byte("one"))
 
 	ffs.ShortWriteOnce(5)
-	if err := w.Append([]byte("two-that-tears")); err == nil {
+	if err := w.AppendBatch([][]byte{[]byte("two-that-tears")}); err == nil {
 		t.Fatal("short write did not surface an error")
 	}
-	if err := w.Append([]byte("three")); err != nil {
+	if err := w.AppendBatch([][]byte{[]byte("three")}); err != nil {
 		t.Fatalf("append after repaired short write: %v", err)
 	}
 	if err := w.Sync(); err != nil {
@@ -277,14 +277,14 @@ func TestCrashLeavesRecoverablePrefix(t *testing.T) {
 	w := openAppend(t, ffs, path, []byte("alpha"), []byte("beta"))
 
 	ffs.CrashAfterBytes(6) // tears the third frame mid-header
-	if err := w.Append([]byte("gamma")); err == nil {
+	if err := w.AppendBatch([][]byte{[]byte("gamma")}); err == nil {
 		t.Fatal("append through a crash succeeded")
 	}
 	if !ffs.Crashed() {
 		t.Fatal("crash did not fire")
 	}
 	// The repair truncate also fails (machine is dead) → writer broken.
-	if err := w.Append([]byte("delta")); !errors.Is(err, ErrBroken) {
+	if err := w.AppendBatch([][]byte{[]byte("delta")}); !errors.Is(err, ErrBroken) {
 		t.Errorf("append after crash: %v, want ErrBroken", err)
 	}
 	if err := w.Sync(); !errors.Is(err, ErrBroken) {
@@ -309,8 +309,9 @@ func TestCrashLeavesRecoverablePrefix(t *testing.T) {
 	}
 }
 
-// TestAppendBatchRoundTrip: a batch lands as ordinary frames — a reader
-// cannot tell batched appends from single ones, and singles can follow.
+// TestAppendBatchRoundTrip: a batch lands as ordinary frames — the file is
+// byte for byte the EncodeFrame of each payload, so a reader cannot tell a
+// batch from batches of one, and batches of one can follow.
 func TestAppendBatchRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
 	w, _, err := Open(OS(), path)
@@ -324,7 +325,7 @@ func TestAppendBatchRoundTrip(t *testing.T) {
 	if err := w.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Append(recs[4]); err != nil {
+	if err := w.AppendBatch([][]byte{recs[4]}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.AppendBatch(recs[5:]); err != nil {
@@ -347,10 +348,19 @@ func TestAppendBatchRoundTrip(t *testing.T) {
 	if res.Corrupt != nil || len(res.Records) != len(recs) {
 		t.Fatalf("recovered %d records (corrupt %v), want %d", len(res.Records), res.Corrupt, len(recs))
 	}
+	var want []byte
 	for i, rec := range recs {
 		if !bytes.Equal(res.Records[i], rec) {
 			t.Errorf("record %d = %q, want %q", i, res.Records[i], rec)
 		}
+		frame, err := EncodeFrame(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, frame...)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+		t.Errorf("log bytes differ from the EncodeFrame concatenation (read err %v)", err)
 	}
 }
 
@@ -392,7 +402,7 @@ func TestAppendBatchShortWriteIsRepaired(t *testing.T) {
 	if err := w.AppendBatch([][]byte{[]byte("batch-a"), []byte("batch-b")}); err == nil {
 		t.Fatal("short batch write did not surface an error")
 	}
-	if err := w.Append([]byte("three")); err != nil {
+	if err := w.AppendBatch([][]byte{[]byte("three")}); err != nil {
 		t.Fatalf("append after repaired batch: %v", err)
 	}
 	if err := w.Sync(); err != nil {
@@ -465,7 +475,7 @@ func TestFailSyncSurfaces(t *testing.T) {
 
 	injected := errors.New("disk on fire")
 	ffs.FailSync(injected)
-	if err := w.Append([]byte("two")); err != nil {
+	if err := w.AppendBatch([][]byte{[]byte("two")}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Sync(); !errors.Is(err, injected) {

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt verify bench bench-ingest bench-stream fuzz recovery chaos stream shard replication reshard shrink
+.PHONY: build test race vet fmt verify bench bench-ingest bench-stream bench-grouping fuzz recovery chaos stream shard replication reshard shrink
 
 build:
 	$(GO) build ./...
@@ -103,6 +103,17 @@ fuzz:
 bench-ingest:
 	$(GO) test -run '^$$' -bench BenchmarkIngest -benchtime=2s -json ./internal/platform/... | tee BENCH_ingest.json | \
 		grep -o '"Output":".*acked-submits/sec[^"]*"' | sed 's/"Output":"//;s/\\t/\t/g;s/\\n"//' || true
+
+# AG-TR grouping benchmark: the pruned pairwise stage on 500-, 2k- and
+# 5k-account campaigns at 1/2/4/8 procs, with the share of pairs the
+# LB_Kim bound rejects, the DTW abandons, and the DTW runs in full.
+# Emits the raw test2json stream to BENCH_grouping.json, the committed
+# baseline, mirroring bench-ingest; stdout gets the reassembled result
+# lines (test2json splits a benchmark's name from its numbers).
+bench-grouping:
+	$(GO) test -run '^$$' -bench BenchmarkAGTRGrouping -benchtime=2s -json . | tee BENCH_grouping.json | \
+		grep -o '"Output":"[^"]*"' | sed 's/"Output":"//;s/"$$//' | tr -d '\n' | \
+		sed 's/\\t/\t/g;s/\\n/\n/g' | grep 'ns/op' || true
 
 # Truth-stream fan-out benchmark: pushed updates/sec and latest-wins drop
 # rate at 1, 100, and 1000 draining subscribers. Emits the raw test2json

@@ -21,6 +21,8 @@ import (
 	"sybiltd/internal/core"
 	"sybiltd/internal/experiment"
 	"sybiltd/internal/grouping"
+	"sybiltd/internal/mcs"
+	"sybiltd/internal/obs"
 	"sybiltd/internal/simulate"
 	"sybiltd/internal/truth"
 )
@@ -323,32 +325,53 @@ func BenchmarkAblationCombo(b *testing.B) {
 	}
 }
 
-// BenchmarkAGTRGrouping500 measures the parallel pairwise-distance engine
-// on a 500-account synthetic campaign (490 legitimate users plus two
-// default attackers with 5 accounts each): ~125k account pairs, each
-// costing two DTW evaluations. The procs=1 case is the sequential path;
-// higher procs fan the packed dissimilarity matrix out across workers with
+// BenchmarkAGTRGrouping measures AG-TR's pairwise stage on synthetic
+// campaigns of 500, 2k and 5k accounts (legitimate users plus two default
+// attackers with 5 accounts each), at φ = 0.3. Pairs are rejected by the
+// LB_Kim bound, abandoned inside the task-series DTW, or run in full; the
+// percentages of each are reported per case. The procs=1 case is the
+// sequential path; higher procs fan the pairs out across workers with
 // per-worker DTW buffers. The first iteration of each case cross-checks
 // that the partitions are byte-identical regardless of parallelism.
-func BenchmarkAGTRGrouping500(b *testing.B) {
-	sc, err := simulate.Build(simulate.Config{Seed: 11, NumLegit: 490, SybilActiveness: 0.8})
-	if err != nil {
-		b.Fatal(err)
+// `make bench-grouping` records it in BENCH_grouping.json.
+func BenchmarkAGTRGrouping(b *testing.B) {
+	for _, accounts := range []int{500, 2000, 5000} {
+		b.Run(fmt.Sprintf("accounts=%d", accounts), func(b *testing.B) {
+			sc, err := simulate.Build(simulate.Config{Seed: 11, NumLegit: accounts - 10, SybilActiveness: 0.8})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if n := sc.Dataset.NumAccounts(); n < accounts {
+				b.Fatalf("campaign has %d accounts, want >= %d", n, accounts)
+			}
+			benchAGTRProcs(b, sc.Dataset)
+		})
 	}
-	if n := sc.Dataset.NumAccounts(); n < 500 {
-		b.Fatalf("campaign has %d accounts, want >= 500", n)
-	}
+}
+
+func benchAGTRProcs(b *testing.B, ds *mcs.Dataset) {
 	grouper := grouping.AGTR{Phi: 0.3}
+	reg := obs.Default()
+	outcomes := []struct{ counter, unit string }{
+		{"grouping.agtr.pairs_bound_pruned", "%bound-pruned"},
+		{"grouping.agtr.pairs_abandoned", "%abandoned"},
+		{"grouping.agtr.pairs_full", "%full"},
+	}
+	pairs := float64(ds.NumAccounts()) * float64(ds.NumAccounts()-1) / 2
 	var baseline grouping.Grouping
 	var baselineSet bool
 	for _, procs := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("procs=%d", procs), func(b *testing.B) {
 			prev := runtime.GOMAXPROCS(procs)
 			defer runtime.GOMAXPROCS(prev)
+			before := make([]int64, len(outcomes))
+			for i, o := range outcomes {
+				before[i] = reg.Counter(o.counter).Value()
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				g, err := grouper.Group(sc.Dataset)
+				g, err := grouper.Group(ds)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -361,6 +384,11 @@ func BenchmarkAGTRGrouping500(b *testing.B) {
 					}
 					b.StartTimer()
 				}
+			}
+			b.StopTimer()
+			for i, o := range outcomes {
+				n := reg.Counter(o.counter).Value() - before[i]
+				b.ReportMetric(100*float64(n)/(pairs*float64(b.N)), o.unit)
 			}
 		})
 	}

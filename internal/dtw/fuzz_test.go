@@ -17,12 +17,16 @@ func bytesToSeries(bs []byte) []float64 {
 // FuzzDistance checks DTW's metric-ish axioms on arbitrary series: no
 // panics, non-negativity, symmetry, identity, and agreement between the
 // windowed and unconstrained variants when the band covers everything.
+// It also checks the pruning machinery against a fuzzed limit: LB_Kim
+// never exceeds the full cost, a bounded call that finishes is
+// bit-identical to the unbounded one, and one that abandons is right to.
 func FuzzDistance(f *testing.F) {
-	f.Add([]byte{1, 2, 3}, []byte{3, 2, 1})
-	f.Add([]byte{}, []byte{5})
-	f.Add([]byte{128}, []byte{128})
+	f.Add([]byte{1, 2, 3}, []byte{3, 2, 1}, uint16(200))
+	f.Add([]byte{}, []byte{5}, uint16(0))
+	f.Add([]byte{128}, []byte{128}, uint16(1))
+	f.Add([]byte{0, 255, 0, 255}, []byte{255, 0}, uint16(3000))
 
-	f.Fuzz(func(t *testing.T, rawA, rawB []byte) {
+	f.Fuzz(func(t *testing.T, rawA, rawB []byte, rawLimit uint16) {
 		if len(rawA) > 64 {
 			rawA = rawA[:64]
 		}
@@ -74,5 +78,26 @@ func FuzzDistance(f *testing.F) {
 		if ca, ab := calc.AbsoluteCost(a, b), AbsoluteCost(a, b); ca != ab {
 			t.Fatalf("Calculator.AbsoluteCost = %v, free = %v", ca, ab)
 		}
+
+		limit := float64(rawLimit) / 128
+		checkBounded(t, "Distance", a, b, d, LBKim(a, b), limit, calc.DistanceWithin)
+		checkBounded(t, "AbsoluteCost", a, b, AbsoluteCost(a, b), AbsoluteLBKim(a, b), limit, calc.AbsoluteCostWithin)
 	})
+}
+
+// checkBounded checks one cost flavour's pruning on (a, b) against its
+// full cost: lb (LB_Kim) <= full, and within(a, b, limit) either finishes
+// with full bit for bit or abandons with limit <= its bound <= full.
+func checkBounded(t *testing.T, name string, a, b []float64, full, lb, limit float64, within func(a, b []float64, limit float64) (float64, bool)) {
+	t.Helper()
+	if lb > full {
+		t.Fatalf("%s: LB_Kim %v > full cost %v", name, lb, full)
+	}
+	got, done := within(a, b, limit)
+	switch {
+	case done && got != full:
+		t.Fatalf("%s within %v finished with %v, full cost %v", name, limit, got, full)
+	case !done && !(limit <= got && got <= full):
+		t.Fatalf("%s within %v abandoned with bound %v, full cost %v", name, limit, got, full)
+	}
 }

@@ -118,8 +118,9 @@ func ThresholdAbove(n int, weight func(i, j int) float64, threshold float64) *Un
 }
 
 // ThresholdBelow builds a graph over n vertices keeping edges with
-// weight(i, j) < threshold. Used by AG-TR, where low dissimilarity means
-// suspicious.
+// weight(i, j) < threshold. It is the brute-force form of AG-TR's graph,
+// where low dissimilarity means suspicious; AG-TR itself skips the pairs
+// its DTW lower bounds rule out and adds only the edges that remain.
 func ThresholdBelow(n int, weight func(i, j int) float64, threshold float64) *Undirected {
 	g := NewUndirected(n)
 	for i := 0; i < n; i++ {
@@ -135,21 +136,11 @@ func ThresholdBelow(n int, weight func(i, j int) float64, threshold float64) *Un
 // ThresholdAbovePacked is ThresholdAbove over a precomputed packed weight
 // matrix: weights holds the strict upper triangle in row-major order
 // ((0,1), (0,2), ..., (n-2,n-1), as produced by parallel.Pairwise), so its
-// length must be n*(n-1)/2. The grouping methods fill the packed matrix in
-// parallel and then build the graph here; scanning the triangle in the same
-// row-major order keeps edge insertion — and thus component discovery —
+// length must be n*(n-1)/2. AG-TS fills the packed matrix in parallel and
+// then builds the graph here; scanning the triangle in the same row-major
+// order keeps edge insertion — and thus component discovery —
 // byte-identical to the sequential weight-function path.
 func ThresholdAbovePacked(n int, weights []float64, threshold float64) (*Undirected, error) {
-	return thresholdPacked(n, weights, func(w float64) bool { return w > threshold })
-}
-
-// ThresholdBelowPacked is ThresholdBelow over a packed weight matrix; see
-// ThresholdAbovePacked for the layout.
-func ThresholdBelowPacked(n int, weights []float64, threshold float64) (*Undirected, error) {
-	return thresholdPacked(n, weights, func(w float64) bool { return w < threshold })
-}
-
-func thresholdPacked(n int, weights []float64, keep func(w float64) bool) (*Undirected, error) {
 	if want := n * (n - 1) / 2; n >= 2 && len(weights) != want {
 		return nil, fmt.Errorf("graph: packed matrix has %d weights, want %d for n=%d", len(weights), want, n)
 	}
@@ -157,7 +148,7 @@ func thresholdPacked(n int, weights []float64, keep func(w float64) bool) (*Undi
 	k := 0
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			if w := weights[k]; keep(w) {
+			if w := weights[k]; w > threshold {
 				_ = g.AddEdge(i, j, w)
 			}
 			k++

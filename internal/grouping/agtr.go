@@ -3,6 +3,9 @@ package grouping
 import (
 	"context"
 	"fmt"
+	"math"
+	"sort"
+	"sync"
 	"time"
 
 	"sybiltd/internal/dtw"
@@ -36,8 +39,10 @@ const (
 //
 //	D(i,j) = DTW(X_i, X_j) + DTW(Y_i, Y_j),
 //
-// is computed for every pair, pairs strictly below Phi become graph edges,
-// and connected components become groups. It defends against Attack-II
+// decides which pairs become graph edges (those strictly below Phi), and
+// connected components become groups. Pairs that provably reach Phi are
+// rejected early by exact lower bounds (see edges), so the partition is
+// the brute-force one. It defends against Attack-II
 // even when most accounts perform similar task sets, because the timestamp
 // series still separates independent users.
 type AGTR struct {
@@ -71,34 +76,59 @@ func (g AGTR) Series(ds *mcs.Dataset, ai int, origin time.Time, unit time.Durati
 	return tasks, times
 }
 
-// Dissimilarity returns the Eq. (8) dissimilarity between accounts i and j.
+// Dissimilarity returns the Eq. (8) dissimilarity between accounts i and j,
+// computed in full. It is +Inf when either account is idle (has no
+// observations): with no trajectory evidence, Group never links it.
 func (g AGTR) Dissimilarity(ds *mcs.Dataset, i, j int) float64 {
 	origin, _, ok := ds.TimeSpan()
 	if !ok {
 		origin = time.Time{}
 	}
-	unit := g.TimeUnit
-	if unit == 0 {
-		unit = 24 * time.Hour
+	xi, yi := g.Series(ds, i, origin, g.unit())
+	xj, yj := g.Series(ds, j, origin, g.unit())
+	if len(xi) == 0 || len(xj) == 0 {
+		return math.Inf(1)
 	}
-	xi, yi := g.Series(ds, i, origin, unit)
-	xj, yj := g.Series(ds, j, origin, unit)
-	return g.distance(xi, xj) + g.distance(yi, yj)
-}
-
-func (g AGTR) distance(a, b []float64) float64 {
 	var c dtw.Calculator
-	return g.calcDistance(&c, a, b)
+	dx, _ := g.distanceWithin(&c, xi, xj, math.Inf(1))
+	dy, _ := g.distanceWithin(&c, yi, yj, math.Inf(1))
+	return dx + dy
 }
 
-// calcDistance is distance through a caller-owned Calculator, so the hot
-// pairwise loop reuses DP buffers instead of allocating four slices per
-// DTW evaluation.
-func (g AGTR) calcDistance(c *dtw.Calculator, a, b []float64) float64 {
-	if g.Mode == TRAbsolute {
-		return c.AbsoluteCost(a, b)
+// phi is Phi with its default applied.
+func (g AGTR) phi() float64 {
+	if g.Phi == 0 && !g.PhiSet {
+		return DefaultPhi
 	}
-	return c.Distance(a, b)
+	return g.Phi
+}
+
+// unit is TimeUnit with its default applied.
+func (g AGTR) unit() time.Duration {
+	if g.TimeUnit == 0 {
+		return 24 * time.Hour
+	}
+	return g.TimeUnit
+}
+
+// lowerBound is the O(1) LB_Kim bound of the mode's DTW flavour.
+func (g AGTR) lowerBound(a, b []float64) float64 {
+	if g.Mode == TRAbsolute {
+		return dtw.AbsoluteLBKim(a, b)
+	}
+	return dtw.LBKim(a, b)
+}
+
+// distanceWithin is the mode's DTW flavour through a caller-owned
+// Calculator (the hot pairwise loop reuses DP buffers instead of
+// allocating four slices per evaluation). It reports false when it
+// abandoned the DP because the distance provably reaches limit; with limit
+// +Inf it always runs in full.
+func (g AGTR) distanceWithin(c *dtw.Calculator, a, b []float64, limit float64) (float64, bool) {
+	if g.Mode == TRAbsolute {
+		return c.AbsoluteCostWithin(a, b, limit)
+	}
+	return c.DistanceWithin(a, b, limit)
 }
 
 // Group implements Grouper.
@@ -106,10 +136,10 @@ func (g AGTR) Group(ds *mcs.Dataset) (Grouping, error) {
 	return g.GroupContext(context.Background(), ds)
 }
 
-// GroupContext implements ContextGrouper: the O(n²) DTW distance-matrix
-// fill — the framework's hottest stage — stops handing out pairs once ctx
-// is done and the context error is returned, so a request deadline can
-// bound a grouping pass that would otherwise run for seconds.
+// GroupContext implements ContextGrouper: the O(n²) pairwise stage — the
+// framework's hottest — stops handing out pairs once ctx is done and the
+// context error is returned, so a request deadline can bound a grouping
+// pass that would otherwise run for seconds.
 func (g AGTR) GroupContext(ctx context.Context, ds *mcs.Dataset) (Grouping, error) {
 	if ds == nil {
 		return Grouping{}, ErrNilDataset
@@ -118,55 +148,117 @@ func (g AGTR) GroupContext(ctx context.Context, ds *mcs.Dataset) (Grouping, erro
 	if n == 0 {
 		return Grouping{}, nil
 	}
-	phi := g.Phi
-	if phi == 0 && !g.PhiSet {
-		phi = DefaultPhi
-	}
-	unit := g.TimeUnit
-	if unit == 0 {
-		unit = 24 * time.Hour
-	}
 	origin, _, ok := ds.TimeSpan()
 	if !ok {
 		origin = time.Time{}
 	}
-
-	// Precompute the series once; the pairwise stage is O(n^2) DTW calls —
-	// the framework's hot path. The packed Eq. (8) dissimilarity matrix is
-	// filled in parallel with a per-worker DTW calculator (each pair writes
-	// its own slot, so the matrix is bit-identical to the sequential loop),
-	// then thresholded into the account graph in row-major order.
+	// Precompute the series once; the pairwise stage is the hot path.
 	taskSeries := make([][]float64, n)
 	timeSeries := make([][]float64, n)
 	for i := 0; i < n; i++ {
-		taskSeries[i], timeSeries[i] = g.Series(ds, i, origin, unit)
+		taskSeries[i], timeSeries[i] = g.Series(ds, i, origin, g.unit())
 	}
-	dis := make([]float64, parallel.NumPairs(n))
 	sw := obs.Default().Timer("grouping.agtr.distance_matrix_seconds").Start()
-	err := parallel.PairwiseWorkersCtx(ctx, n, func() func(i, j, k int) {
-		calc := dtw.NewCalculator()
-		return func(i, j, k int) {
-			if len(taskSeries[i]) == 0 || len(taskSeries[j]) == 0 {
-				// No trajectory evidence: never group idle accounts.
-				dis[k] = phi + 1
-				return
-			}
-			dis[k] = g.calcDistance(calc, taskSeries[i], taskSeries[j]) +
-				g.calcDistance(calc, timeSeries[i], timeSeries[j])
-		}
-	})
+	edges, stats, err := g.edges(ctx, taskSeries, timeSeries, g.phi())
 	sw.Stop()
+	reg := obs.Default()
+	reg.Counter("grouping.agtr.pairs_bound_pruned").Add(stats.boundPruned)
+	reg.Counter("grouping.agtr.pairs_abandoned").Add(stats.abandoned)
+	reg.Counter("grouping.agtr.pairs_full").Add(stats.full)
 	if err != nil {
 		return Grouping{}, fmt.Errorf("grouping: AG-TR cancelled: %w", err)
 	}
 	sw = obs.Default().Timer("grouping.agtr.components_seconds").Start()
-	ug, err := graph.ThresholdBelowPacked(n, dis, phi)
-	if err != nil {
-		return Grouping{}, fmt.Errorf("grouping: AG-TR: %w", err)
+	ug := graph.NewUndirected(n)
+	for _, e := range edges {
+		// Error impossible: indices are in range by construction.
+		_ = ug.AddEdge(e.i, e.j, e.d)
 	}
 	grp := fromComponents(ug.ConnectedComponents())
 	sw.Stop()
 	return grp, nil
+}
+
+// agtrEdge is a pair of accounts whose Eq. (8) dissimilarity d is below φ;
+// k is the pair's row-major rank (parallel.PairIndex).
+type agtrEdge struct {
+	k, i, j int
+	d       float64
+}
+
+// agtrStats counts how each pair was decided: rejected by the LB_Kim
+// bound (idle pairs included), abandoned in the task-series DP, or with
+// the task-series DP run in full.
+type agtrStats struct {
+	boundPruned, abandoned, full int64
+}
+
+// agtrWorker is one pairwise worker's DTW buffers, edges and counts.
+type agtrWorker struct {
+	calc  dtw.Calculator
+	edges []agtrEdge
+	stats agtrStats
+}
+
+// edges returns the pairs whose Eq. (8) dissimilarity is below phi, in
+// pair-rank order, exactly as a full pairwise matrix thresholded in
+// row-major order would, but without the matrix. For each pair:
+//
+//  1. Idle pairs and pairs whose task-series LB_Kim bound reaches phi are
+//     rejected in O(1). D_time >= 0, and adding a non-negative float never
+//     rounds below the other addend, so D_task >= phi implies D >= phi.
+//  2. The task-series DTW runs with abandon limit phi: once a whole DP
+//     row proves D_task >= phi, the pair is rejected, and so is a pair
+//     whose completed D_task reaches phi.
+//  3. Survivors get the exact time-series DTW and the exact sum D, kept
+//     when D < phi (the paper's strict inequality).
+//
+// Each worker collects its own edges and counts; they are merged and the
+// edges sorted by rank afterwards, so the result is identical at any
+// GOMAXPROCS.
+func (g AGTR) edges(ctx context.Context, taskSeries, timeSeries [][]float64, phi float64) ([]agtrEdge, agtrStats, error) {
+	var (
+		mu      sync.Mutex
+		workers []*agtrWorker
+	)
+	err := parallel.PairwiseWorkersCtx(ctx, len(taskSeries), func() func(i, j, k int) {
+		w := &agtrWorker{}
+		mu.Lock()
+		workers = append(workers, w)
+		mu.Unlock()
+		return func(i, j, k int) {
+			ti, tj := taskSeries[i], taskSeries[j]
+			if len(ti) == 0 || len(tj) == 0 || g.lowerBound(ti, tj) >= phi {
+				w.stats.boundPruned++
+				return
+			}
+			dTask, done := g.distanceWithin(&w.calc, ti, tj, phi)
+			if !done {
+				w.stats.abandoned++
+				return
+			}
+			w.stats.full++
+			if dTask >= phi {
+				return
+			}
+			dTime, _ := g.distanceWithin(&w.calc, timeSeries[i], timeSeries[j], math.Inf(1))
+			if d := dTask + dTime; d < phi {
+				w.edges = append(w.edges, agtrEdge{k: k, i: i, j: j, d: d})
+			}
+		}
+	})
+	var (
+		edges []agtrEdge
+		stats agtrStats
+	)
+	for _, w := range workers {
+		edges = append(edges, w.edges...)
+		stats.boundPruned += w.stats.boundPruned
+		stats.abandoned += w.stats.abandoned
+		stats.full += w.stats.full
+	}
+	sort.Slice(edges, func(a, b int) bool { return edges[a].k < edges[b].k })
+	return edges, stats, err
 }
 
 var (

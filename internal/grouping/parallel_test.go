@@ -21,7 +21,8 @@ func withProcs(t *testing.T, procs int, fn func()) {
 // TestGroupingParallelMatchesSequential pins the determinism guarantee of
 // the parallel pairwise engine: every grouping method returns an identical
 // partition at GOMAXPROCS=1 and GOMAXPROCS=8, because each pair's matrix
-// slot is preassigned and thresholding scans in row-major order.
+// slot is preassigned (AG-TR: its edges are sorted by pair rank) and the
+// graph is built in row-major order.
 func TestGroupingParallelMatchesSequential(t *testing.T) {
 	sc, err := simulate.Build(simulate.Config{Seed: 21, NumLegit: 30, SybilActiveness: 0.8})
 	if err != nil {
@@ -59,9 +60,9 @@ func TestGroupingParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestAGTRPairwiseMatchesDissimilarity checks that the packed matrix the
-// parallel engine computes agrees with the per-pair Dissimilarity API the
-// walkthrough experiments use.
+// TestAGTRPairwiseMatchesDissimilarity checks that the edges the parallel
+// engine keeps agree with the per-pair Dissimilarity API the walkthrough
+// experiments use.
 func TestAGTRPairwiseMatchesDissimilarity(t *testing.T) {
 	sc, err := simulate.Build(simulate.Config{Seed: 5, NumLegit: 6})
 	if err != nil {

@@ -92,13 +92,15 @@ verify: build fmt vet test race
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
+# Each fuzz target needs its own run: go test fuzzes one target at a time.
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzDistance -fuzztime=30s ./internal/dtw/
+	$(GO) test -run=NONE -fuzz=FuzzScan -fuzztime=30s ./internal/wal/
 
 # Ingestion throughput benchmark: 32 concurrent submitters against a
-# durable store, per-record fsync vs group commit vs batched submits,
-# plus the sharded variant routing the same load across 1/2/4 durable
-# shards. Emits the raw test2json stream to BENCH_ingest.json for trend
+# durable store, group commit with no linger vs a 2 ms linger vs batched
+# submits, plus the sharded variant routing the same load across 1/2/4
+# durable shards. Emits the raw test2json stream to BENCH_ingest.json for trend
 # tracking; the human-readable table goes to stdout as usual.
 bench-ingest:
 	$(GO) test -run '^$$' -bench BenchmarkIngest -benchtime=2s -json ./internal/platform/... | tee BENCH_ingest.json | \

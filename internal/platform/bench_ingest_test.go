@@ -14,19 +14,18 @@ import (
 // BenchmarkIngest measures acknowledged durable submits per second under
 // 32 concurrent submitters, comparing the three ingestion shapes:
 //
-//   - per-record-fsync: the pre-group-commit baseline (CommitLinger 0) —
-//     every ack pays its own fsync, serialized behind the store lock.
+//   - no-linger: group commit with CommitLinger 0 — the leader fsyncs at
+//     once, covering whatever was appended while the previous fsync ran.
 //   - group-commit: concurrent single submits coalesced into shared
 //     fsyncs (2ms linger, early wake at 8 pending).
-//   - batched-submit: SubmitBatch envelopes of 16 — one WAL write and one
-//     fsync per envelope even without group commit.
+//   - batched-submit: SubmitBatch envelopes of 16 — one WAL write per
+//     envelope, with no linger.
 //
-// Run via `make bench-ingest`; the acceptance bar for the group-commit
-// path is >= 3x the per-record baseline's acked-submits/sec.
+// Run via `make bench-ingest`.
 func BenchmarkIngest(b *testing.B) {
 	const workers = 32
 
-	b.Run("per-record-fsync", func(b *testing.B) {
+	b.Run("no-linger", func(b *testing.B) {
 		benchConcurrentSubmits(b, workers, DurableOptions{})
 	})
 	b.Run("group-commit", func(b *testing.B) {

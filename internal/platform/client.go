@@ -62,7 +62,7 @@ func (e *APIError) Unwrap() error {
 // clientConfig tunes a Client beyond the defaults; NewClient's options
 // set it.
 type clientConfig struct {
-	// endpoints are the equivalent endpoints, in rotation order.
+	// endpoints[0] is the base URL every request goes to.
 	endpoints []string
 	// HTTPClient performs the requests; nil means a default client with a
 	// 10 s timeout.
@@ -105,10 +105,10 @@ func (c clientConfig) withDefaults() clientConfig {
 }
 
 // Client is a typed HTTP client for the platform API, used by cmd/mcsagent
-// and integration tests. It targets one or more equivalent endpoints
-// (e.g. replicas of the shard router): transport-level failures rotate to
-// the next endpoint before the retry loop's next attempt.
+// and integration tests. It targets one endpoint: a single node or the
+// shard router.
 type Client struct {
+	base    string // endpoint URL without a trailing slash
 	cfg     clientConfig
 	breaker *breaker // nil when BreakerThreshold == 0
 
@@ -120,10 +120,8 @@ type Client struct {
 	// sharded store bumps it on every topology install.
 	ringVersion atomic.Uint64
 
-	mu      sync.Mutex
-	bases   []string   // endpoint rotation, guarded by mu
-	baseIdx int        // index of the endpoint in use
-	rng     *rand.Rand // jitter source, guarded by mu
+	mu  sync.Mutex
+	rng *rand.Rand // jitter source, guarded by mu
 }
 
 // SetRingVersion sets the ring version stamped on subsequent requests
@@ -140,13 +138,6 @@ type Option func(*clientConfig)
 // has a 10 s timeout.
 func WithHTTPClient(hc *http.Client) Option {
 	return func(c *clientConfig) { c.HTTPClient = hc }
-}
-
-// WithEndpoints adds fallback endpoints after NewClient's primary. The
-// client uses one endpoint at a time and rotates on transport-level
-// failures (connection errors, 5xx, torn bodies).
-func WithEndpoints(endpoints ...string) Option {
-	return func(c *clientConfig) { c.endpoints = append(c.endpoints, endpoints...) }
 }
 
 // WithRetries sets the number of additional attempts after the first one
@@ -191,47 +182,15 @@ func NewClient(endpoint string, opts ...Option) *Client {
 }
 
 func newClient(cfg clientConfig) *Client {
-	bases := make([]string, len(cfg.endpoints))
-	for i, e := range cfg.endpoints {
-		bases[i] = strings.TrimRight(e, "/")
-	}
 	c := &Client{
-		bases: bases,
-		cfg:   cfg.withDefaults(),
-		rng:   rand.New(rand.NewSource(jitterSeed())),
+		base: strings.TrimRight(cfg.endpoints[0], "/"),
+		cfg:  cfg.withDefaults(),
+		rng:  rand.New(rand.NewSource(jitterSeed())),
 	}
 	if cfg.BreakerThreshold > 0 {
 		c.breaker = newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown)
 	}
 	return c
-}
-
-// currentBase returns the endpoint in use.
-func (c *Client) currentBase() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.bases[c.baseIdx]
-}
-
-// rotateBase advances to the next endpoint, but only if the failing
-// endpoint is still the current one — concurrent failures on the same
-// endpoint rotate once, not once each.
-func (c *Client) rotateBase(failed string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.bases) > 1 && c.bases[c.baseIdx] == failed {
-		c.baseIdx = (c.baseIdx + 1) % len(c.bases)
-	}
-}
-
-// Endpoints returns the client's endpoint rotation, current first.
-func (c *Client) Endpoints() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]string, 0, len(c.bases))
-	out = append(out, c.bases[c.baseIdx:]...)
-	out = append(out, c.bases[:c.baseIdx]...)
-	return out
 }
 
 // jitterSeed seeds the backoff-jitter RNG from crypto/rand. A wall-clock
@@ -351,14 +310,12 @@ func (c *Client) Metrics(ctx context.Context) (MetricsSnapshot, error) {
 
 // Dataset downloads the full campaign snapshot in the mcs JSON schema.
 func (c *Client) Dataset(ctx context.Context) (*mcs.Dataset, error) {
-	base := c.currentBase()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/dataset", nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/dataset", nil)
 	if err != nil {
 		return nil, fmt.Errorf("platform client: request: %w", err)
 	}
 	resp, err := c.cfg.HTTPClient.Do(req)
 	if err != nil {
-		c.rotateBase(base)
 		return nil, fmt.Errorf("platform client: GET /v1/dataset: %w", err)
 	}
 	defer drainBody(resp.Body)
@@ -385,14 +342,12 @@ func (c *Client) Stats(ctx context.Context) (StatsResponse, error) {
 // "degraded" — with the per-shard breakdown on a router); the error is
 // non-nil only when the endpoint is unreachable or the body torn.
 func (c *Client) Ready(ctx context.Context) (ReadyzResponse, error) {
-	base := c.currentBase()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/readyz", nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/readyz", nil)
 	if err != nil {
 		return ReadyzResponse{}, fmt.Errorf("platform client: request: %w", err)
 	}
 	resp, err := c.cfg.HTTPClient.Do(req)
 	if err != nil {
-		c.rotateBase(base)
 		return ReadyzResponse{}, fmt.Errorf("platform client: GET /readyz: %w", err)
 	}
 	defer drainBody(resp.Body)
@@ -495,16 +450,9 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 				return fmt.Errorf("platform client: %s %s: %w", method, path, err)
 			}
 		}
-		base := c.currentBase()
-		res := c.attempt(ctx, base, method, path, payload, out)
+		res := c.attempt(ctx, method, path, payload, out)
 		if c.breaker != nil {
 			c.breaker.record(!res.transportFailure)
-		}
-		if res.transportFailure {
-			// The endpoint itself failed (connection error, 5xx, torn
-			// body); with fallback endpoints configured the next attempt
-			// goes elsewhere.
-			c.rotateBase(base)
 		}
 		if res.err == nil {
 			return nil
@@ -519,13 +467,13 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 	}
 }
 
-// attempt performs a single request against base.
-func (c *Client) attempt(ctx context.Context, base, method, path string, payload []byte, out any) attemptResult {
+// attempt performs a single request.
+func (c *Client) attempt(ctx context.Context, method, path string, payload []byte, out any) attemptResult {
 	var reader io.Reader
 	if payload != nil {
 		reader = bytes.NewReader(payload)
 	}
-	req, err := http.NewRequestWithContext(ctx, method, base+path, reader)
+	req, err := http.NewRequestWithContext(ctx, method, c.base+path, reader)
 	if err != nil {
 		return attemptResult{err: err}
 	}

@@ -89,15 +89,14 @@ type DurableOptions struct {
 	// SnapshotEvery compacts the WAL into a fresh snapshot after this
 	// many appended records; 0 snapshots only at Close.
 	SnapshotEvery int
-	// CommitLinger enables group commit when positive: instead of one
-	// fsync per mutation under the store lock, mutations are journaled
-	// (buffered) and applied under the lock, and the fsync that
-	// acknowledges them runs outside it, coalescing every record appended
-	// in the meantime into one sync. The leader of an fsync round waits up
-	// to CommitLinger for more records to join (ending early once
-	// CommitMaxBatch have accumulated), so the linger bounds the extra ack
-	// latency a lone submitter pays. Zero keeps the original
-	// one-fsync-per-record behavior.
+	// CommitLinger is how long the leader of a group-commit round waits
+	// for more records to join before it fsyncs (ending early once
+	// CommitMaxBatch have accumulated), so it bounds the extra ack latency
+	// a lone submitter pays. Client mutations are journaled (buffered) and
+	// applied under the store lock; the fsync that acknowledges them runs
+	// outside it, coalescing every record appended in the meantime into
+	// one sync. Zero means no linger: the leader fsyncs at once, covering
+	// every record appended so far.
 	//
 	// Group commit keeps the acknowledgment contract — an acknowledged
 	// mutation has been fsynced — but weakens read-your-unacked-writes
@@ -149,7 +148,7 @@ type Durability struct {
 	seq           uint64 // sequence number of the last frame written
 	sinceSnapshot int
 	snapshotEvery int
-	gc            *groupCommit // nil: one fsync per record, inline
+	gc            *groupCommit
 	reg           *obs.Registry
 	log           *log.Logger
 	closed        bool
@@ -169,18 +168,15 @@ type Durability struct {
 }
 
 // commitToken identifies a journaled mutation. The store holds it across
-// the lock release and redeems it with waitDurable before acknowledging.
-// wait marks a group-commit token whose fsync is still pending; an
-// inline-fsync token is already durable but still carries its sequence
-// number so the replication layer can gate a semi-sync ack on it. epoch
-// is the replication epoch the record was appended under: the semi-sync
-// settle refuses to ack a token whose lineage has since changed (a
-// demotion's snapshot reset may have rolled the record back). The zero
-// token means "nothing journaled" (no journal at all).
+// the lock release and redeems it with waitDurable before acknowledging;
+// the replication layer gates a semi-sync ack on its sequence number.
+// epoch is the replication epoch the record was appended under: the
+// semi-sync settle refuses to ack a token whose lineage has since changed
+// (a demotion's snapshot reset may have rolled the record back). The zero
+// token (seq 0) means "nothing journaled".
 type commitToken struct {
 	seq   uint64
 	epoch uint64
-	wait  bool
 }
 
 // groupCommit coalesces concurrent WAL fsyncs. Appenders (holding the
@@ -398,10 +394,8 @@ func OpenDurable(dir string, tasks []mcs.Task, opts DurableOptions) (*LocalStore
 	} else {
 		d.walSeq0 = seq + 1
 	}
-	if opts.CommitLinger > 0 {
-		d.gc = newGroupCommit(opts.CommitLinger, opts.CommitMaxBatch)
-		d.gc.markDurable(seq) // everything recovered from disk is durable
-	}
+	d.gc = newGroupCommit(opts.CommitLinger, opts.CommitMaxBatch)
+	d.gc.markDurable(seq) // everything recovered from disk is durable
 	store.journal = d
 	reg.Gauge("wal.size_bytes").Set(w.Size())
 	reg.Gauge("wal.recovery_records_replayed").Set(int64(stats.RecordsReplayed))
@@ -512,10 +506,9 @@ func (s *LocalStore) replayRecordLocked(rec walRecord) bool {
 // process level: a failed write is repaired by the writer (no frame
 // survives, no sequence number is consumed) and the whole batch reports
 // the error. On success every record has a sequence number and the
-// returned token covers the last one. Without group commit the frames are
-// fsynced inline and the token is already settled; with group commit they
-// are only buffered, and the caller must redeem the token with waitDurable
-// — after releasing the store lock — before acknowledging.
+// returned token covers the last one. The frames are only buffered: the
+// caller must redeem the token with waitDurable — after releasing the
+// store lock — before acknowledging.
 func (d *Durability) appendBatchLocked(recs []walRecord) (commitToken, error) {
 	if d.closed {
 		return commitToken{}, fmt.Errorf("%w: durability closed", ErrDurability)
@@ -532,46 +525,54 @@ func (d *Durability) appendBatchLocked(recs []walRecord) (commitToken, error) {
 		}
 		payloads[i] = p
 	}
+	if err := d.appendFramesLocked(payloads, false); err != nil {
+		return commitToken{}, fmt.Errorf("%w: append batch: %v", ErrDurability, err)
+	}
+	d.reg.Histogram("wal.batch_size").Observe(float64(len(recs)))
+	d.gc.noteAppended(d.seq)
+	return commitToken{seq: d.seq, epoch: d.epoch}, nil
+}
+
+// appendFramesLocked writes payloads as one buffered batch of frames
+// numbered from d.seq+1 and indexes them. Both write paths end here: the
+// client path buffers (the group-commit leader fsyncs later, outside the
+// store lock), and a follower passes syncNow, because its ack is what
+// lets a semi-sync primary acknowledge. A failed write (or, with syncNow,
+// a failed fsync) leaves no frame in the file and consumes no sequence
+// number, so the retry (a client's, or the primary's re-ship) lands the
+// frames exactly once. Caller holds the store mutex.
+func (d *Durability) appendFramesLocked(payloads [][]byte, syncNow bool) error {
 	sw := d.reg.Timer("wal.append_seconds").Start()
 	off := d.w.Size()
 	err := d.w.AppendBatch(payloads)
 	sw.Stop()
+	if err == nil && syncNow {
+		fw := d.reg.Timer("wal.fsync_seconds").Start()
+		err = d.w.Sync()
+		fw.Stop()
+		if err != nil {
+			// Cut the unsynced frames back off. A copy left ahead of the
+			// re-shipped one would shift every later sequence number in
+			// the offset index recovery rebuilds. The cut's error needs no
+			// handling: either the file is back at off (only the cut's own
+			// sync failed, and the next fsync persists it) or the writer
+			// is broken and refuses every further append.
+			_ = d.w.TruncateTo(off)
+		}
+	}
 	if err != nil {
 		d.reg.Counter("wal.append_errors").Inc()
-		return commitToken{}, fmt.Errorf("%w: append batch: %v", ErrDurability, err)
+		return err
 	}
-	d.seq += uint64(len(recs))
 	for _, p := range payloads {
 		d.walOffsets = append(d.walOffsets, off)
 		off += wal.HeaderSize + int64(len(p))
 	}
-	d.reg.Histogram("wal.batch_size").Observe(float64(len(recs)))
-	if d.gc != nil {
-		d.noteAppendedLocked(len(recs))
-		return commitToken{seq: d.seq, epoch: d.epoch, wait: true}, nil
-	}
-	fw := d.reg.Timer("wal.fsync_seconds").Start()
-	err = d.w.Sync()
-	fw.Stop()
-	if err != nil {
-		d.reg.Counter("wal.append_errors").Inc()
-		return commitToken{}, fmt.Errorf("%w: fsync: %v", ErrDurability, err)
-	}
-	d.sinceSnapshot += len(recs)
-	d.reg.Counter("wal.records").Add(int64(len(recs)))
+	d.seq += uint64(len(payloads))
+	d.sinceSnapshot += len(payloads)
+	d.reg.Counter("wal.records").Add(int64(len(payloads)))
 	d.reg.Gauge("wal.size_bytes").Set(d.w.Size())
-	d.notifyDurable()
-	return commitToken{seq: d.seq, epoch: d.epoch}, nil
-}
-
-// noteAppendedLocked publishes the latest buffered sequence number to the
-// group-commit layer and settles the bookkeeping that the inline-fsync
-// path does after its sync. Called with the store mutex held.
-func (d *Durability) noteAppendedLocked(n int) {
-	d.sinceSnapshot += n
-	d.reg.Counter("wal.records").Add(int64(n))
-	d.reg.Gauge("wal.size_bytes").Set(d.w.Size())
-	d.gc.noteAppended(d.seq)
+	return nil
 }
 
 // waitDurable redeems a commit token: it returns once the token's record
@@ -579,7 +580,7 @@ func (d *Durability) noteAppendedLocked(n int) {
 // Must be called WITHOUT the store mutex — the whole point is that the
 // fsync happens outside the lock, coalescing with concurrent appenders.
 func (d *Durability) waitDurable(tok commitToken) error {
-	if !tok.wait || d.gc == nil {
+	if tok.seq == 0 {
 		return nil
 	}
 	err := d.gc.wait(tok.seq, func() error {
@@ -668,12 +669,10 @@ func (d *Durability) snapshotLocked() error {
 	d.sinceSnapshot = 0
 	d.walSeq0 = d.seq + 1
 	d.walOffsets = d.walOffsets[:0]
-	if d.gc != nil {
-		// The snapshot holds the full state through d.seq on stable
-		// storage, so every record appended so far is durable — release
-		// any group-commit waiters without an extra WAL fsync.
-		d.gc.markDurable(d.seq)
-	}
+	// The snapshot holds the full state through d.seq on stable storage,
+	// so every record appended so far is durable — release any
+	// group-commit waiters without an extra WAL fsync.
+	d.gc.markDurable(d.seq)
 	d.reg.Counter("wal.snapshots").Inc()
 	d.reg.Gauge("wal.size_bytes").Set(0)
 	d.logf("durability: snapshot written (seq %d, epoch %d)", d.seq, d.epoch)
@@ -745,7 +744,7 @@ func (d *Durability) logf(format string, args ...any) {
 // group's history is persisted in the snapshot envelope.
 
 // notifyDurable pokes the replication shippers after durable progress
-// (inline fsync, settled group commit, or snapshot). Cheap and
+// (a settled group commit or a snapshot). Cheap and
 // non-blocking; safe with or without the store mutex held.
 func (d *Durability) notifyDurable() {
 	if d.repl != nil {
@@ -753,26 +752,13 @@ func (d *Durability) notifyDurable() {
 	}
 }
 
-// durableSeq returns the highest sequence number known durable.
+// durableSeq returns the highest sequence number known durable. It takes
+// only the group-commit mutex, so it is safe with or without the store
+// mutex held.
 func (d *Durability) durableSeq() uint64 {
-	if d.gc != nil {
-		d.gc.mu.Lock()
-		defer d.gc.mu.Unlock()
-		return d.gc.synced
-	}
-	d.store.mu.RLock()
-	defer d.store.mu.RUnlock()
-	return d.seq
-}
-
-// durableSeqLocked is durableSeq with the store mutex already held.
-func (d *Durability) durableSeqLocked() uint64 {
-	if d.gc != nil {
-		d.gc.mu.Lock()
-		defer d.gc.mu.Unlock()
-		return d.gc.synced
-	}
-	return d.seq
+	d.gc.mu.Lock()
+	defer d.gc.mu.Unlock()
+	return d.gc.synced
 }
 
 // Epoch returns the node's persisted replication epoch.
@@ -818,7 +804,7 @@ func (d *Durability) framesSince(from uint64, max int) ([]ReplFrame, bool, error
 			d.store.mu.Unlock()
 			return nil, false, fmt.Errorf("%w: durability closed", ErrDurability)
 		}
-		durable := d.durableSeqLocked()
+		durable := d.durableSeq()
 		if from >= durable {
 			d.store.mu.Unlock()
 			return nil, false, nil
@@ -883,13 +869,11 @@ func (d *Durability) framesSince(from uint64, max int) ([]ReplFrame, bool, error
 func (d *Durability) adoptSnapshotLocked(seq, epoch uint64) error {
 	d.seq = seq
 	d.epoch = epoch
-	if d.gc != nil {
-		d.gc.mu.Lock()
-		d.gc.synced = seq
-		d.gc.appended = seq
-		d.gc.cond.Broadcast()
-		d.gc.mu.Unlock()
-	}
+	d.gc.mu.Lock()
+	d.gc.synced = seq
+	d.gc.appended = seq
+	d.gc.cond.Broadcast()
+	d.gc.mu.Unlock()
 	return d.snapshotLocked()
 }
 
@@ -907,34 +891,12 @@ func (d *Durability) appendReplicatedLocked(frames []ReplFrame) error {
 		return nil
 	}
 	payloads := make([][]byte, len(frames))
-	offs := make([]int64, len(frames))
-	off := d.w.Size()
 	for i, f := range frames {
 		payloads[i] = f.Payload
-		offs[i] = off
-		off += wal.HeaderSize + int64(len(f.Payload))
 	}
-	sw := d.reg.Timer("wal.append_seconds").Start()
-	err := d.w.AppendBatch(payloads)
-	sw.Stop()
-	if err != nil {
-		d.reg.Counter("wal.append_errors").Inc()
+	if err := d.appendFramesLocked(payloads, true); err != nil {
 		return fmt.Errorf("%w: replicated append: %v", ErrDurability, err)
 	}
-	fw := d.reg.Timer("wal.fsync_seconds").Start()
-	err = d.w.Sync()
-	fw.Stop()
-	if err != nil {
-		d.reg.Counter("wal.append_errors").Inc()
-		return fmt.Errorf("%w: replicated fsync: %v", ErrDurability, err)
-	}
-	d.seq = frames[len(frames)-1].Seq
-	d.walOffsets = append(d.walOffsets, offs...)
-	d.sinceSnapshot += len(frames)
-	d.reg.Counter("wal.records").Add(int64(len(frames)))
-	d.reg.Gauge("wal.size_bytes").Set(d.w.Size())
-	if d.gc != nil {
-		d.gc.markDurable(d.seq)
-	}
+	d.gc.markDurable(d.seq)
 	return nil
 }

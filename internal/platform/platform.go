@@ -298,7 +298,7 @@ func (s *LocalStore) commit(ctx context.Context, build func() ([]walRecord, erro
 		return err
 	}
 	if s.journal != nil {
-		// Under group commit the fsync that settles the token runs here,
+		// The group-commit fsync that settles the token runs here,
 		// outside the store lock, shared with every concurrent writer.
 		if err := s.journal.waitDurable(tok); err != nil {
 			return err

@@ -14,13 +14,12 @@ import (
 // TestRemoteStoreFlappingEndpointDoesNotStickBreakerOpen: a replica
 // endpoint that alternates shard_unavailable and success (a flapping
 // process, a bouncing LB target) must not wedge the client's circuit
-// breaker open when the client also has a healthy endpoint to rotate to.
-// Successes reset the breaker's consecutive-failure count, and rotation
-// moves traffic to the healthy base, so every write lands and the breaker
-// ends the run closed — the failure mode guarded against is the breaker
-// counting the flapper's every-other-request 503s as one long failure
-// streak and refusing calls that would have succeeded on the other
-// endpoint.
+// breaker open. Successes reset the breaker's consecutive-failure count
+// and a retry lands on the flapper's next, healthy answer, so every write
+// lands and the breaker ends the run closed — the failure mode guarded
+// against is the breaker counting the flapper's every-other-request 503s
+// as one long failure streak and refusing calls that a retry would have
+// got through.
 func TestRemoteStoreFlappingEndpointDoesNotStickBreakerOpen(t *testing.T) {
 	backend := httptest.NewServer(NewServerWithOptions(NewLocalStore(testTasks(1)), ServerOptions{}))
 	defer backend.Close()
@@ -40,7 +39,6 @@ func TestRemoteStoreFlappingEndpointDoesNotStickBreakerOpen(t *testing.T) {
 	defer flaky.Close()
 
 	client := NewClient(flaky.URL,
-		WithEndpoints(flaky.URL, backend.URL),
 		WithRetries(3),
 		WithBackoff(time.Millisecond, 5*time.Millisecond),
 		WithBreaker(3, 50*time.Millisecond),

@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"sybiltd/internal/obs"
+	"sybiltd/internal/wal"
 )
 
 // replNode is one replica for tests: a durable store, its replication
@@ -301,6 +303,86 @@ func TestApplyShipIdempotencyGapAndCRC(t *testing.T) {
 	resp = ship(ReplShipRequest{Epoch: 0, PrimarySeq: 5, Frames: missing})
 	if resp.AppliedSeq != 5 {
 		t.Fatalf("catch-up ship: %+v, want applied 5", resp)
+	}
+}
+
+// TestFollowerFsyncFailureLandsFramesOnce: a follower whose fsync fails
+// mid-ship must keep the shipped frames neither in memory nor in its WAL
+// file, so the primary's re-ship lands them exactly once. A second copy
+// on disk shifts every later sequence number in the offset index that
+// recovery rebuilds (a promoted follower would ship, and a migration
+// export, the wrong records under those numbers); advancing the cursor
+// past the failed frames instead drops them from the follower for good.
+func TestFollowerFsyncFailureLandsFramesOnce(t *testing.T) {
+	ctx := context.Background()
+	pStore, pd, _, err := OpenDurable(t.TempDir(), testTasks(3), DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pd.Close()
+	for i := 0; i < 6; i++ {
+		if err := pStore.Submit(ctx, fmt.Sprintf("a%d", i), 0, float64(i), at(0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	all, _, err := pd.framesSince(0, 100)
+	if err != nil || len(all) != 6 {
+		t.Fatalf("primary frames: %d, err=%v; want 6", len(all), err)
+	}
+
+	fDir := t.TempDir()
+	ffs := wal.NewFaultFS(wal.OS())
+	fStore, fd, _, err := OpenDurable(fDir, testTasks(3), DurableOptions{FS: ffs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fd.Close()
+	fr := NewReplication(fStore, fd, ReplicationOptions{FollowerOf: "x", Registry: obs.NewRegistry()})
+	defer fr.Close()
+	ship := func(r *Replication, frames []ReplFrame) (ReplShipResponse, error) {
+		return r.ApplyShip(ctx, ReplShipRequest{Epoch: 0, PrimarySeq: 6, Frames: frames})
+	}
+	if resp, err := ship(fr, all[:2]); err != nil || resp.AppliedSeq != 2 {
+		t.Fatalf("ship 1-2: %+v, %v", resp, err)
+	}
+	ffs.FailSync(errors.New("injected fsync failure"))
+	if _, err := ship(fr, all[2:4]); !errors.Is(err, ErrDurability) {
+		t.Fatalf("ship 3-4 under a failing fsync: %v, want ErrDurability", err)
+	}
+	ffs.FailSync(nil)
+	if resp, err := ship(fr, all[2:4]); err != nil || resp.AppliedSeq != 4 {
+		t.Fatalf("re-ship 3-4: %+v, %v; want applied 4", resp, err)
+	}
+	if st, _ := fStore.Stats(ctx); st.Accounts != 4 {
+		t.Fatalf("follower holds %d accounts after the re-ship, want 4", st.Accounts)
+	}
+
+	// Crash and recover the follower, then let it take the rest.
+	fr.Close()
+	if err := fd.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	fStore2, fd2, _, err := OpenDurable(fDir, testTasks(3), DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fd2.Close()
+	fr2 := NewReplication(fStore2, fd2, ReplicationOptions{FollowerOf: "x", Registry: obs.NewRegistry()})
+	defer fr2.Close()
+	if resp, err := ship(fr2, all[4:]); err != nil || resp.AppliedSeq != 6 {
+		t.Fatalf("ship 5-6 after recovery: %+v, %v; want applied 6", resp, err)
+	}
+	got, _, err := fd2.framesSince(0, 100)
+	if err != nil || len(got) != len(all) {
+		t.Fatalf("follower frames: %d, err=%v; want %d", len(got), err, len(all))
+	}
+	for i, f := range got {
+		if f.Seq != all[i].Seq || !bytes.Equal(f.Payload, all[i].Payload) {
+			t.Errorf("follower frame %d carries %s, primary's carries %s", f.Seq, f.Payload, all[i].Payload)
+		}
+	}
+	if st, _ := fStore2.Stats(ctx); st.Accounts != 6 {
+		t.Errorf("recovered follower holds %d accounts, want 6", st.Accounts)
 	}
 }
 

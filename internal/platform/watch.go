@@ -84,8 +84,7 @@ func (c *Client) Watch(ctx context.Context, opts WatchOptions) (*Watcher, error)
 
 // watchConnect dials one watch stream, resuming after fromSeq.
 func (c *Client) watchConnect(ctx context.Context, fromSeq uint64) (*http.Response, error) {
-	base := c.currentBase()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/truths:watch", nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/truths:watch", nil)
 	if err != nil {
 		return nil, fmt.Errorf("platform client: watch request: %w", err)
 	}
@@ -95,7 +94,6 @@ func (c *Client) watchConnect(ctx context.Context, fromSeq uint64) (*http.Respon
 	}
 	resp, err := c.streamHTTPClient().Do(req)
 	if err != nil {
-		c.rotateBase(base)
 		return nil, fmt.Errorf("platform client: GET /v1/truths:watch: %w", err)
 	}
 	if resp.StatusCode >= 400 {
